@@ -1,12 +1,11 @@
-// S20 — next-gen solver core: multigrid vs ILU(0) preconditioning and
-// fp64 vs mixed-precision Krylov on 4RM steady solves, swept over grid
-// sizes from the Table-2 scale (101×101 cells) up to ≥4× that node count
-// (202×202). Per (grid, config) it reports Krylov iterations and wall
-// time; a SELL-C-σ vs CSR SpMV microbenchmark rides along. Every
-// measurement is appended to bench_results/BENCH_multigrid.json. At the
-// largest grid the bench self-checks the §S20 claim — multigrid cuts
-// Krylov iterations by at least 3× vs ILU(0) — and exits nonzero if the
-// win evaporates.
+// S20 — next-gen solver core: multigrid vs ILU(0) preconditioning on 4RM
+// steady solves, swept over grid sizes from the Table-2 scale (101×101
+// cells) up to ≥4× that node count (202×202). Per (grid, config) it reports
+// Krylov iterations and wall time; a SELL-C-σ vs CSR SpMV microbenchmark
+// rides along. Every measurement is appended to
+// bench_results/BENCH_multigrid.json. At the largest grid the bench
+// self-checks the §S20 claim — multigrid cuts Krylov iterations by at least
+// 3× vs ILU(0) — and exits nonzero if the win evaporates.
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -49,9 +48,8 @@ Run timed_solve(const AssembledThermal& system, const SteadySolverConfig& cfg) {
   const ThermalField field = solve_steady(system, 1e-9, nullptr, &ws, &cfg);
   run.seconds = timer.seconds();
   run.counters = instrument::delta(before, instrument::snapshot());
-  run.krylov_iters = run.counters.bicgstab_iterations +
-                     run.counters.gmres_iterations +
-                     run.counters.fp32_inner_iters;
+  run.krylov_iters =
+      run.counters.bicgstab_iterations + run.counters.gmres_iterations;
   (void)field;
   return run;
 }
@@ -87,7 +85,7 @@ void spmv_microbench(int g, const sparse::CsrMatrix& a) {
   for (int r = 0; r < reps; ++r) a.multiply(x, y);
   const double csr_s = csr_timer.seconds();
 
-  const sparse::SellMatrixD sell(a);
+  const sparse::SellMatrix sell(a);
   sell.multiply(x, y);  // warm
   const WallTimer sell_timer;
   for (int r = 0; r < reps; ++r) sell.multiply(x, y);
@@ -113,7 +111,7 @@ void spmv_microbench(int g, const sparse::CsrMatrix& a) {
 }  // namespace
 
 int main() {
-  benchutil::banner("Multigrid + mixed precision vs ILU(0) — 4RM steady solves",
+  benchutil::banner("Multigrid vs ILU(0) — 4RM steady solves",
                     "DESIGN.md §S20 (next-gen solver core)");
   const bool fast = env_flag("LCN_FAST");
   // Table-2 dies are 101×101 cells; the large point holds ≥4× that node
@@ -133,7 +131,9 @@ int main() {
     std::printf("\n%dx%d grid, 2 dies: %zu nodes, %zu nnz\n", g, g, nodes,
                 system.matrix.nnz());
 
-    SteadySolverConfig ilu_cfg;  // defaults: ILU(0), fp64
+    // Config names keep their "-fp64" suffix so records stay comparable
+    // with earlier BENCH_multigrid.json lines.
+    SteadySolverConfig ilu_cfg;  // default: ILU(0)
     const Run ilu = timed_solve(system, ilu_cfg);
     report(g, nodes, "ilu0-fp64", ilu);
 
@@ -141,11 +141,6 @@ int main() {
     mg_cfg.precon = SteadySolverConfig::Precon::kMultigrid;
     const Run mg = timed_solve(system, mg_cfg);
     report(g, nodes, "mg-fp64", mg, ilu.seconds / mg.seconds);
-
-    SteadySolverConfig mixed_cfg = mg_cfg;
-    mixed_cfg.precision = sparse::Precision::kMixed;
-    const Run mixed = timed_solve(system, mixed_cfg);
-    report(g, nodes, "mg-mixed", mixed, ilu.seconds / mixed.seconds);
 
     std::printf("  mg-fp64 vs ilu0: %.1fx fewer iterations, %.2fx wall time\n",
                 static_cast<double>(ilu.krylov_iters) /

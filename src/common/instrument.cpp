@@ -88,10 +88,6 @@ void add_trace_drop() { bump(&CounterShard::trace_events_dropped, 1); }
 
 void add_mg_vcycle() { bump(&CounterShard::mg_vcycles, 1); }
 void add_mg_coarse_solve() { bump(&CounterShard::mg_coarse_solves, 1); }
-void add_fp32_inner(std::uint64_t iterations) {
-  bump(&CounterShard::fp32_inner_iters, iterations);
-}
-void add_refinement_step() { bump(&CounterShard::refinement_steps, 1); }
 void add_island_migration() { bump(&CounterShard::island_migrations, 1); }
 void add_pt_swap() { bump(&CounterShard::pt_swaps, 1); }
 void add_archive_insert() { bump(&CounterShard::archive_inserts, 1); }
@@ -155,7 +151,6 @@ std::string Snapshot::json() const {
       "\"recovery_searches\":%llu,"
       "\"trace_events_emitted\":%llu,\"trace_events_dropped\":%llu,"
       "\"mg_vcycles\":%llu,\"mg_coarse_solves\":%llu,"
-      "\"fp32_inner_iters\":%llu,\"refinement_steps\":%llu,"
       "\"island_migrations\":%llu,\"pt_swaps\":%llu,"
       "\"archive_inserts\":%llu,"
       "\"jobs_completed\":%llu,\"jobs_cancelled\":%llu,"
@@ -188,8 +183,6 @@ std::string Snapshot::json() const {
       static_cast<unsigned long long>(trace_events_dropped),
       static_cast<unsigned long long>(mg_vcycles),
       static_cast<unsigned long long>(mg_coarse_solves),
-      static_cast<unsigned long long>(fp32_inner_iters),
-      static_cast<unsigned long long>(refinement_steps),
       static_cast<unsigned long long>(island_migrations),
       static_cast<unsigned long long>(pt_swaps),
       static_cast<unsigned long long>(archive_inserts),

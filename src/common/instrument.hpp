@@ -52,8 +52,6 @@ namespace lcn::instrument {
   X(trace_events_dropped)          \
   X(mg_vcycles)                    \
   X(mg_coarse_solves)              \
-  X(fp32_inner_iters)              \
-  X(refinement_steps)              \
   X(island_migrations)             \
   X(pt_swaps)                      \
   X(archive_inserts)               \
@@ -95,8 +93,6 @@ struct Snapshot {
   std::uint64_t trace_events_dropped = 0;  ///< events lost to ring overflow
   std::uint64_t mg_vcycles = 0;            ///< multigrid V-cycle applications
   std::uint64_t mg_coarse_solves = 0;      ///< dense coarse-level solves
-  std::uint64_t fp32_inner_iters = 0;      ///< fp32 inner Krylov iterations
-  std::uint64_t refinement_steps = 0;      ///< fp64 iterative-refinement steps
   std::uint64_t island_migrations = 0;     ///< accepted island best-design moves
   std::uint64_t pt_swaps = 0;              ///< accepted parallel-tempering swaps
   std::uint64_t archive_inserts = 0;       ///< Pareto-archive frontier entries
@@ -148,8 +144,6 @@ void add_trace_event();
 void add_trace_drop();
 void add_mg_vcycle();
 void add_mg_coarse_solve();
-void add_fp32_inner(std::uint64_t iterations);
-void add_refinement_step();
 void add_island_migration();
 void add_pt_swap();
 void add_archive_insert();

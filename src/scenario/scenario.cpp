@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -240,8 +241,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
   validate_config(problem, config);
   const double dt = config.dt;
   const int total_steps = scenario_step_count(config);
-  const SteadySolverConfig solver =
-      config.solver ? *config.solver : SteadySolverConfig::from_env();
+  const SteadySolverConfig solver = SteadySolverConfig::from_env();
   ProgressSink* const progress = task_progress_sink();
 
   // Nominal model; rebuilt when the active structural-fault set changes.

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "flow/loop.hpp"
@@ -124,8 +123,6 @@ struct ScenarioConfig {
   std::vector<TimedFault> faults;
   bool cdu_enabled = false;
   CduConfig cdu;
-  /// Solver selection; unset reads SteadySolverConfig::from_env().
-  std::optional<SteadySolverConfig> solver;
 };
 
 struct ScenarioSample {

@@ -130,10 +130,8 @@ void MultigridPreconditioner::refactor(const CsrMatrix& a) {
 void MultigridPreconditioner::finish_level_numeric(Level& level,
                                                    const CsrMatrix& op) {
   level.op.refill(op);
-  level.op32.refill(op);
   level.inv_diag = op.diagonal();
   for (double& d : level.inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
-  level.inv_diag32.assign(level.inv_diag.begin(), level.inv_diag.end());
   if (opts_.smoother == MultigridOptions::Smoother::kIlu0) {
     try {
       if (level.ilu.has_value()) {
@@ -183,38 +181,6 @@ void MultigridPreconditioner::smooth(const Level& lvl, const Vector& rhs,
   }
 }
 
-void MultigridPreconditioner::smooth_f32(const Level& lvl, const VectorF& rhs,
-                                         VectorF& x, int sweeps,
-                                         bool x_is_zero) const {
-  const float w = static_cast<float>(opts_.jacobi_weight);
-  for (int sweep = 0; sweep < sweeps; ++sweep) {
-    if (sweep == 0 && x_is_zero) {
-      if (lvl.ilu.has_value()) {
-        lvl.ilu->apply_f32(rhs, x);
-      } else {
-        x.resize(lvl.n);
-        for (std::size_t i = 0; i < lvl.n; ++i) {
-          x[i] = w * lvl.inv_diag32[i] * rhs[i];
-        }
-      }
-      continue;
-    }
-    lvl.op32.multiply(x, lvl.ax32);
-    if (lvl.ilu.has_value()) {
-      lvl.resid32.resize(lvl.n);
-      for (std::size_t i = 0; i < lvl.n; ++i) {
-        lvl.resid32[i] = rhs[i] - lvl.ax32[i];
-      }
-      lvl.ilu->apply_f32(lvl.resid32, lvl.zs32);
-      for (std::size_t i = 0; i < lvl.n; ++i) x[i] += lvl.zs32[i];
-    } else {
-      for (std::size_t i = 0; i < lvl.n; ++i) {
-        x[i] += w * lvl.inv_diag32[i] * (rhs[i] - lvl.ax32[i]);
-      }
-    }
-  }
-}
-
 void MultigridPreconditioner::build(const CsrMatrix& a) {
   src_row_ptr_ = a.shared_row_ptr();
   src_col_idx_ = a.shared_col_idx();
@@ -257,8 +223,7 @@ void MultigridPreconditioner::build(const CsrMatrix& a) {
       } catch (const RuntimeError&) {
         // Singular coarse operator: fall back to damped-Jacobi sweeps there.
         coarse_lu_.reset();
-        levels_[li].op = SellMatrixD(cur);
-        levels_[li].op32 = SellMatrixF(cur);
+        levels_[li].op = SellMatrix(cur);
         finish_level_numeric(levels_[li], cur);
       }
       break;
@@ -277,17 +242,12 @@ void MultigridPreconditioner::build(const CsrMatrix& a) {
       }
     }
     lvl.galerkin = SparsityPlan::analyze(coarse_n, coarse_n, pattern);
-    lvl.op = SellMatrixD(cur);
-    lvl.op32 = SellMatrixF(cur);
+    lvl.op = SellMatrix(cur);
     finish_level_numeric(lvl, cur);
     lvl.ax.resize(lvl.n);
     lvl.resid.resize(lvl.n);
     lvl.rc.resize(coarse_n);
     lvl.xc.resize(coarse_n);
-    lvl.ax32.resize(lvl.n);
-    lvl.resid32.resize(lvl.n);
-    lvl.rc32.resize(coarse_n);
-    lvl.xc32.resize(coarse_n);
 
     const std::vector<double>& fine_values = cur.values();
     CsrMatrix coarse = lvl.galerkin.refill_matrix(
@@ -360,34 +320,6 @@ void MultigridPreconditioner::vcycle(std::size_t level, const Vector& rhs,
   smooth(lvl, rhs, x, opts_.post_smooth, /*x_is_zero=*/false);
 }
 
-void MultigridPreconditioner::vcycle_f32(std::size_t level, const VectorF& rhs,
-                                         VectorF& x) const {
-  if (level + 1 == levels_.size()) {
-    // The coarse system is tiny; solve it in fp64 through the dense LU.
-    Vector rhs64(rhs.begin(), rhs.end());
-    Vector x64;
-    coarse_solve(rhs64, x64);
-    x.assign(x64.begin(), x64.end());
-    return;
-  }
-  const Level& lvl = levels_[level];
-  x.assign(lvl.n, 0.0f);
-  smooth_f32(lvl, rhs, x, opts_.pre_smooth, /*x_is_zero=*/true);
-  lvl.op32.multiply(x, lvl.ax32);
-  for (std::size_t i = 0; i < lvl.n; ++i) {
-    lvl.resid32[i] = rhs[i] - lvl.ax32[i];
-  }
-  std::fill(lvl.rc32.begin(), lvl.rc32.end(), 0.0f);
-  for (std::size_t i = 0; i < lvl.n; ++i) {
-    lvl.rc32[lvl.agg[i]] += lvl.resid32[i];
-  }
-  vcycle_f32(level + 1, lvl.rc32, lvl.xc32);
-  for (std::size_t i = 0; i < lvl.n; ++i) {
-    x[i] += lvl.xc32[lvl.agg[i]];
-  }
-  smooth_f32(lvl, rhs, x, opts_.post_smooth, /*x_is_zero=*/false);
-}
-
 void MultigridPreconditioner::apply(const Vector& r, Vector& z) const {
   LCN_REQUIRE(r.size() == levels_.front().n, "multigrid apply: size mismatch");
   LCN_TRACE_SPAN_FINE("mg_vcycle");
@@ -395,27 +327,6 @@ void MultigridPreconditioner::apply(const Vector& r, Vector& z) const {
                                        metrics::kFine);
   instrument::add_mg_vcycle();
   vcycle(0, r, z);
-}
-
-void MultigridPreconditioner::apply_f32(const VectorF& r, VectorF& z) const {
-  LCN_REQUIRE(r.size() == levels_.front().n, "multigrid apply: size mismatch");
-  LCN_TRACE_SPAN_FINE("mg_vcycle");
-  const metrics::ScopedLatency latency(metrics::Hist::mg_vcycle_seconds,
-                                       metrics::kFine);
-  instrument::add_mg_vcycle();
-  vcycle_f32(0, r, z);
-}
-
-double MultigridPreconditioner::sell_padding_ratio() const {
-  const SellMatrixD& op = levels_.front().op;
-  return op.nnz() == 0 ? 1.0
-                       : static_cast<double>(op.padded_slots()) /
-                             static_cast<double>(op.nnz());
-}
-
-std::unique_ptr<Preconditioner> make_multigrid(const CsrMatrix& a,
-                                               const MgGridHint* hint) {
-  return std::make_unique<MultigridPreconditioner>(a, hint);
 }
 
 }  // namespace lcn::sparse

@@ -26,12 +26,10 @@
 // of magnitude below the ±cv·q/2 flow couplings, and pointwise damped Jacobi
 // *amplifies* error on those rows — the V-cycle diverges — while ILU(0)'s
 // triangular sweeps follow the flow chain exactly. Damped Jacobi remains
-// available for diffusion-dominated SPD systems. The
-// fp32 overload runs the same cycle on fp32 copies of the hierarchy for the
-// mixed-precision inner solves. Results are identical for every thread count
-// (each output element is produced by one task in serial operation order),
-// but one instance must not be applied from two threads concurrently — the
-// per-level scratch is a workspace, like SolverWorkspace.
+// available for diffusion-dominated SPD systems. Results are identical for
+// every thread count (each output element is produced by one task in serial
+// operation order), but one instance must not be applied from two threads
+// concurrently — the per-level scratch is a workspace, like SolverWorkspace.
 #pragma once
 
 #include <cstdint>
@@ -105,24 +103,18 @@ class MultigridPreconditioner final : public Preconditioner {
 
   /// One V-cycle: z ≈ A⁻¹ r.
   void apply(const Vector& r, Vector& z) const override;
-  /// Same V-cycle on the fp32 hierarchy (mixed-precision inner solves).
-  void apply_f32(const VectorF& r, VectorF& z) const override;
 
   std::size_t level_count() const { return levels_.size(); }
   std::size_t level_rows(std::size_t level) const {
     return levels_.at(level).n;
   }
-  /// Padded-slot overhead of the finest SELL operator (diagnostics).
-  double sell_padding_ratio() const;
 
  private:
   struct Level {
     std::size_t n = 0;
     CsrMatrix a;            ///< owned on levels ≥ 1; empty handle on level 0
-    SellMatrixD op;         ///< smoother/residual operator
-    SellMatrixF op32;       ///< fp32 copy for apply_f32
+    SellMatrix op;          ///< smoother/residual operator
     Vector inv_diag;
-    VectorF inv_diag32;
     /// ILU(0) smoother factors; absent under Smoother::kJacobi or after a
     /// zero pivot (that level then smooths with damped Jacobi).
     std::optional<Ilu0Preconditioner> ilu;
@@ -132,7 +124,6 @@ class MultigridPreconditioner final : public Preconditioner {
     SparsityPlan galerkin;  ///< coarse pattern over this level's nnz sequence
     // V-cycle scratch (workspace semantics: not concurrency-safe).
     mutable Vector ax, resid, zs, rc, xc;
-    mutable VectorF ax32, resid32, zs32, rc32, xc32;
   };
 
   void build(const CsrMatrix& a);
@@ -140,10 +131,7 @@ class MultigridPreconditioner final : public Preconditioner {
   void finish_level_numeric(Level& level, const CsrMatrix& op);
   void smooth(const Level& lvl, const Vector& rhs, Vector& x, int sweeps,
               bool x_is_zero) const;
-  void smooth_f32(const Level& lvl, const VectorF& rhs, VectorF& x, int sweeps,
-                  bool x_is_zero) const;
   void vcycle(std::size_t level, const Vector& rhs, Vector& x) const;
-  void vcycle_f32(std::size_t level, const VectorF& rhs, VectorF& x) const;
   void coarse_solve(const Vector& rhs, Vector& x) const;
 
   MultigridOptions opts_;
@@ -154,8 +142,5 @@ class MultigridPreconditioner final : public Preconditioner {
   std::vector<Level> levels_;
   std::optional<DenseLu> coarse_lu_;
 };
-
-std::unique_ptr<Preconditioner> make_multigrid(const CsrMatrix& a,
-                                               const MgGridHint* hint = nullptr);
 
 }  // namespace lcn::sparse

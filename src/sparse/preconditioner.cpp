@@ -11,19 +11,12 @@ JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
   LCN_REQUIRE(a.rows() == a.cols(), "Jacobi needs a square matrix");
   inv_diag_ = a.diagonal();
   for (double& d : inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
-  inv_diag32_.assign(inv_diag_.begin(), inv_diag_.end());
 }
 
 void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
   LCN_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
   z.resize(r.size());
   for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
-}
-
-void JacobiPreconditioner::apply_f32(const VectorF& r, VectorF& z) const {
-  LCN_REQUIRE(r.size() == inv_diag32_.size(), "Jacobi apply: size mismatch");
-  z.resize(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag32_[i];
 }
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) { refactor(a); }
@@ -34,7 +27,6 @@ void Ilu0Preconditioner::refactor(const CsrMatrix& a) {
   }
   values_ = a.values();
   factorize();
-  values32_.assign(values_.begin(), values_.end());
 }
 
 void Ilu0Preconditioner::analyze(const CsrMatrix& a) {
@@ -126,37 +118,6 @@ void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
     }
     z[ii] = sum / values_[diag_[ii]];
   }
-}
-
-void Ilu0Preconditioner::apply_f32(const VectorF& r, VectorF& z) const {
-  LCN_REQUIRE(r.size() == n_, "ILU(0) apply: size mismatch");
-  const std::vector<std::size_t>& row_ptr = *row_ptr_;
-  const std::vector<std::size_t>& col_idx = *col_idx_;
-  z = r;
-  for (std::size_t i = 0; i < n_; ++i) {
-    float sum = z[i];
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const std::size_t j = col_idx[k];
-      if (j >= i) break;
-      sum -= values32_[k] * z[j];
-    }
-    z[i] = sum;
-  }
-  for (std::size_t ii = n_; ii-- > 0;) {
-    float sum = z[ii];
-    for (std::size_t k = diag_[ii] + 1; k < row_ptr[ii + 1]; ++k) {
-      sum -= values32_[k] * z[col_idx[k]];
-    }
-    z[ii] = sum / values32_[diag_[ii]];
-  }
-}
-
-std::unique_ptr<Preconditioner> make_jacobi(const CsrMatrix& a) {
-  return std::make_unique<JacobiPreconditioner>(a);
-}
-
-std::unique_ptr<Preconditioner> make_ilu0(const CsrMatrix& a) {
-  return std::make_unique<Ilu0Preconditioner>(a);
 }
 
 }  // namespace lcn::sparse

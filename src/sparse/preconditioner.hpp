@@ -5,8 +5,6 @@
 // advective thermal systems, whose asymmetry grows with flow rate.
 #pragma once
 
-#include <memory>
-
 #include "sparse/csr.hpp"
 
 namespace lcn::sparse {
@@ -16,17 +14,6 @@ class Preconditioner {
   virtual ~Preconditioner() = default;
   /// z = M^{-1} r
   virtual void apply(const Vector& r, Vector& z) const = 0;
-
-  /// fp32 apply for the mixed-precision inner solves (DESIGN.md §S20). The
-  /// default upcasts, runs the fp64 apply, and downcasts — always correct,
-  /// never fast. Preconditioners with a native fp32 path (Jacobi, multigrid)
-  /// override it.
-  virtual void apply_f32(const VectorF& r, VectorF& z) const {
-    Vector r64(r.begin(), r.end());
-    Vector z64;
-    apply(r64, z64);
-    z.assign(z64.begin(), z64.end());
-  }
 };
 
 /// M = I (no preconditioning).
@@ -40,11 +27,9 @@ class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const CsrMatrix& a);
   void apply(const Vector& r, Vector& z) const override;
-  void apply_f32(const VectorF& r, VectorF& z) const override;
 
  private:
   Vector inv_diag_;
-  VectorF inv_diag32_;
 };
 
 /// Zero fill-in incomplete LU factorization on the sparsity pattern of A.
@@ -69,9 +54,6 @@ class Ilu0Preconditioner final : public Preconditioner {
   void refactor(const CsrMatrix& a);
 
   void apply(const Vector& r, Vector& z) const override;
-  /// Native fp32 triangular solves on an fp32 copy of the factors (used as
-  /// the multigrid smoother inside mixed-precision inner solves).
-  void apply_f32(const VectorF& r, VectorF& z) const override;
 
  private:
   void analyze(const CsrMatrix& a);
@@ -81,12 +63,8 @@ class Ilu0Preconditioner final : public Preconditioner {
   SharedIndexes row_ptr_;
   SharedIndexes col_idx_;
   std::vector<double> values_;     // combined L (unit diag implicit) and U
-  VectorF values32_;               // fp32 copy of the factors for apply_f32
   std::vector<std::size_t> diag_;  // index of the diagonal entry per row
   std::vector<std::ptrdiff_t> pos_;  // col -> slot scratch (kept all -1)
 };
-
-std::unique_ptr<Preconditioner> make_jacobi(const CsrMatrix& a);
-std::unique_ptr<Preconditioner> make_ilu0(const CsrMatrix& a);
 
 }  // namespace lcn::sparse

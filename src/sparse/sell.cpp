@@ -16,22 +16,19 @@ namespace {
 constexpr std::uint32_t kNoRow = 0xffffffffu;
 }
 
-template <typename T>
-SellMatrix<T>::SellMatrix(const CsrMatrix& a) {
+SellMatrix::SellMatrix(const CsrMatrix& a) {
   analyze(a);
   fill_values(a);
 }
 
-template <typename T>
-void SellMatrix<T>::refill(const CsrMatrix& a) {
+void SellMatrix::refill(const CsrMatrix& a) {
   if (!shares_structure(a)) {
     analyze(a);
   }
   fill_values(a);
 }
 
-template <typename T>
-void SellMatrix<T>::analyze(const CsrMatrix& a) {
+void SellMatrix::analyze(const CsrMatrix& a) {
   LCN_REQUIRE(a.rows() < kNoRow && a.cols() < kNoRow,
               "SELL-C-sigma uses 32-bit indices");
   rows_ = a.rows();
@@ -101,11 +98,10 @@ void SellMatrix<T>::analyze(const CsrMatrix& a) {
   }
 }
 
-template <typename T>
-void SellMatrix<T>::fill_values(const CsrMatrix& a) {
+void SellMatrix::fill_values(const CsrMatrix& a) {
   const std::vector<std::size_t>& row_ptr = a.row_ptr();
   const std::vector<double>& values = a.values();
-  val_.assign(chunk_offset_.back(), T(0));
+  val_.assign(chunk_offset_.back(), 0.0);
   const std::size_t chunks = chunk_len_.size();
   for (std::size_t ch = 0; ch < chunks; ++ch) {
     const std::size_t base = chunk_offset_[ch];
@@ -114,23 +110,22 @@ void SellMatrix<T>::fill_values(const CsrMatrix& a) {
       if (pos >= perm_.size() || perm_[pos] == kNoRow) continue;
       const std::size_t k0 = row_ptr[perm_[pos]];
       for (std::uint32_t s = 0; s < len_[pos]; ++s) {
-        val_[base + s * kChunk + lane] = static_cast<T>(values[k0 + s]);
+        val_[base + s * kChunk + lane] = values[k0 + s];
       }
     }
   }
 }
 
-template <typename T>
-void SellMatrix<T>::multiply_chunks(const std::vector<T>& x, std::vector<T>& y,
-                                    std::size_t c0, std::size_t c1) const {
+void SellMatrix::multiply_chunks(const Vector& x, Vector& y, std::size_t c0,
+                                 std::size_t c1) const {
   for (std::size_t ch = c0; ch < c1; ++ch) {
     const std::size_t base = chunk_offset_[ch];
     const std::uint32_t clen = chunk_len_[ch];
-    T acc[kChunk] = {};
+    double acc[kChunk] = {};
     // Slot-major walk: the lane loop has unit stride over val_/col_ and
     // independent accumulators — the auto-vectorizable hot loop.
     for (std::uint32_t s = 0; s < clen; ++s) {
-      const T* v = &val_[base + s * kChunk];
+      const double* v = &val_[base + s * kChunk];
       const std::uint32_t* c = &col_[base + s * kChunk];
       for (std::size_t lane = 0; lane < kChunk; ++lane) {
         acc[lane] += v[lane] * x[c[lane]];
@@ -145,8 +140,7 @@ void SellMatrix<T>::multiply_chunks(const std::vector<T>& x, std::vector<T>& y,
   }
 }
 
-template <typename T>
-void SellMatrix<T>::multiply(const std::vector<T>& x, std::vector<T>& y) const {
+void SellMatrix::multiply(const Vector& x, Vector& y) const {
   LCN_REQUIRE(x.size() == cols_, "SELL SpMV: x size mismatch");
   LCN_TRACE_SPAN_FINE("sell_spmv");
   const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
@@ -174,8 +168,5 @@ void SellMatrix<T>::multiply(const std::vector<T>& x, std::vector<T>& y) const {
     multiply_chunks(x, y, bounds[p], std::min(bounds[p + 1], chunks));
   });
 }
-
-template class SellMatrix<double>;
-template class SellMatrix<float>;
 
 }  // namespace lcn::sparse

@@ -18,8 +18,8 @@
 // Symbolic/numeric split (§S18 idiom): conversion from a CsrMatrix analyzes
 // the structure once; refill() re-reads only the value array when the new
 // matrix shares the previous one's index arrays (pointer identity via
-// SharedIndexes), which is how the multigrid smoother and the fp32 inner
-// solves track refactored systems allocation-free.
+// SharedIndexes), which is how the multigrid smoother tracks refactored
+// systems allocation-free.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +29,10 @@
 
 namespace lcn::sparse {
 
-template <typename T>
 class SellMatrix {
  public:
   /// Chunk height C: rows packed per column-major chunk. 8 doubles = one
-  /// AVX-512 register / two AVX2 registers; 8 floats = one AVX2 register.
+  /// AVX-512 register / two AVX2 registers.
   static constexpr std::size_t kChunk = 8;
   /// Sort window σ: rows are ordered by descending length within windows of
   /// σ rows before chunking (stable, so equal-length rows keep CSR order).
@@ -64,13 +63,13 @@ class SellMatrix {
   /// y = A x over chunks fanned out across the global thread pool (each row
   /// written by exactly one task in the serial operation order — results are
   /// identical for every thread count).
-  void multiply(const std::vector<T>& x, std::vector<T>& y) const;
+  void multiply(const Vector& x, Vector& y) const;
 
  private:
   void analyze(const CsrMatrix& a);
   void fill_values(const CsrMatrix& a);
-  void multiply_chunks(const std::vector<T>& x, std::vector<T>& y,
-                       std::size_t c0, std::size_t c1) const;
+  void multiply_chunks(const Vector& x, Vector& y, std::size_t c0,
+                       std::size_t c1) const;
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -82,13 +81,7 @@ class SellMatrix {
   std::vector<std::uint32_t> perm_;        ///< chunk*C+lane -> source row
   std::vector<std::uint32_t> len_;         ///< chunk*C+lane -> row length
   std::vector<std::uint32_t> col_;         ///< padded columns, slot-major
-  std::vector<T> val_;                     ///< padded values, slot-major
+  Vector val_;                             ///< padded values, slot-major
 };
-
-extern template class SellMatrix<double>;
-extern template class SellMatrix<float>;
-
-using SellMatrixD = SellMatrix<double>;
-using SellMatrixF = SellMatrix<float>;
 
 }  // namespace lcn::sparse

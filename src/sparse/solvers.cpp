@@ -25,8 +25,6 @@ std::size_t retry_max_iters(std::size_t n, const SolveOptions& opts) {
 GmresOptions gmres_options(const SolveOptions& opts) {
   GmresOptions gmres;
   gmres.rel_tolerance = opts.rel_tolerance;
-  gmres.restart = opts.gmres_restart;
-  gmres.max_outer = opts.gmres_max_outer;
   gmres.record_residuals = opts.record_residuals;
   return gmres;
 }
@@ -240,70 +238,6 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   return report;
 }
 
-// Shared BiCGSTAB→retry→GMRES cascade used by the solve_general_or_throw
-// variants; the workspace and preconditioner are caller-owned. With the
-// default options this is byte-for-byte the seed cascade; the mixed-precision
-// block only runs when opted into and always falls back to the unchanged
-// fp64 path when refinement stalls.
-void general_cascade(const CsrMatrix& a, const Vector& b, Vector& x,
-                     const std::string& context, const Preconditioner& m,
-                     SolverWorkspace& ws, const SolveOptions& opts) {
-  if (opts.precision == Precision::kMixed) {
-    const SolveReport mixed = mixed_refined_solve(a, b, x, m, ws, opts);
-    if (mixed.converged) {
-      LCN_DEBUG() << context << ": mixed-precision refinement converged in "
-                  << mixed.iterations << " fp32 iters, rel residual "
-                  << mixed.relative_residual;
-      return;
-    }
-    // Refinement stalled — restart the fp64 cascade from a zero guess so the
-    // caller still gets the full fp64 tolerance.
-    x.assign(a.rows(), 0.0);
-  }
-  if (opts.method == GeneralMethod::kGmres) {
-    // Opt-in direct GMRES path for hard-to-converge nonsymmetric systems.
-    const SolveReport report = gmres_solve(a, b, x, m, ws, gmres_options(opts));
-    if (!report.converged) {
-      throw RuntimeError(context + ": GMRES failed to converge (rel residual " +
-                         std::to_string(report.relative_residual) + " after " +
-                         std::to_string(report.iterations) + " iterations)");
-    }
-    LCN_DEBUG() << context << ": GMRES converged in " << report.iterations
-                << " iters, rel residual " << report.relative_residual;
-    return;
-  }
-
-  SolveReport report = bicgstab_impl(a, b, x, m, opts, ws);
-  if (!report.converged) {
-    // One retry from scratch with a fresh zero guess and more iterations —
-    // BiCGSTAB can stagnate from an unlucky shadow residual.
-    x.assign(a.rows(), 0.0);
-    SolveOptions retry = opts;
-    retry.max_iterations = retry_max_iters(a.rows(), opts);
-    report = bicgstab_impl(a, b, x, m, retry, ws);
-  }
-  if (!report.converged && opts.method == GeneralMethod::kAuto) {
-    // Robust fallback for strongly advective systems: restarted GMRES with
-    // the same preconditioner.
-    x.assign(a.rows(), 0.0);
-    const SolveReport gmres_report =
-        gmres_solve(a, b, x, m, ws, gmres_options(opts));
-    if (gmres_report.converged) {
-      LCN_DEBUG() << context << ": GMRES fallback converged in "
-                  << gmres_report.iterations << " iters";
-      return;
-    }
-    report = gmres_report;
-  }
-  if (!report.converged) {
-    throw RuntimeError(context +
-                       ": BiCGSTAB and GMRES failed to converge (rel residual " +
-                       std::to_string(report.relative_residual) + " after " +
-                       std::to_string(report.iterations) + " iterations)");
-  }
-  LCN_DEBUG() << context << ": BiCGSTAB converged in " << report.iterations
-              << " iters, rel residual " << report.relative_residual;
-}
 }  // namespace
 
 SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
@@ -357,26 +291,39 @@ void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
 }
 
 void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const std::string& context,
-                            const SolveOptions& opts) {
-  const Ilu0Preconditioner ilu(a);
-  SolverWorkspace ws;
-  general_cascade(a, b, x, context, ilu, ws, opts);
-}
-
-void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const std::string& context,
-                            const Ilu0Preconditioner& ilu, SolverWorkspace& ws,
-                            const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
-  general_cascade(a, b, x, context, ilu, ws, opts);
-}
-
-void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                             const std::string& context, const Preconditioner& m,
                             SolverWorkspace& ws, const SolveOptions& opts) {
   instrument::add_workspace_reuse();
-  general_cascade(a, b, x, context, m, ws, opts);
+  SolveReport report = bicgstab_impl(a, b, x, m, opts, ws);
+  if (!report.converged) {
+    // One retry from scratch with a fresh zero guess and more iterations —
+    // BiCGSTAB can stagnate from an unlucky shadow residual.
+    x.assign(a.rows(), 0.0);
+    SolveOptions retry = opts;
+    retry.max_iterations = retry_max_iters(a.rows(), opts);
+    report = bicgstab_impl(a, b, x, m, retry, ws);
+  }
+  if (!report.converged) {
+    // Robust fallback for strongly advective systems: restarted GMRES with
+    // the same preconditioner.
+    x.assign(a.rows(), 0.0);
+    const SolveReport gmres_report =
+        gmres_solve(a, b, x, m, ws, gmres_options(opts));
+    if (gmres_report.converged) {
+      LCN_DEBUG() << context << ": GMRES fallback converged in "
+                  << gmres_report.iterations << " iters";
+      return;
+    }
+    report = gmres_report;
+  }
+  if (!report.converged) {
+    throw RuntimeError(context +
+                       ": BiCGSTAB and GMRES failed to converge (rel residual " +
+                       std::to_string(report.relative_residual) + " after " +
+                       std::to_string(report.iterations) + " iterations)");
+  }
+  LCN_DEBUG() << context << ": BiCGSTAB converged in " << report.iterations
+              << " iters, rel residual " << report.relative_residual;
 }
 
 }  // namespace lcn::sparse

@@ -1,9 +1,9 @@
 // Iterative Krylov solvers: preconditioned CG for the SPD flow system and
 // preconditioned BiCGSTAB for the nonsymmetric thermal system, with
-// restarted GMRES available as a fallback or opt-in method.
+// restarted GMRES as the fallback.
 //
-// Every solver has two entry points: the classic one (allocates its Krylov
-// vectors per call) and a workspace one that reuses a caller-owned
+// CG and BiCGSTAB have two entry points: the classic one (allocates its
+// Krylov vectors per call) and a workspace one that reuses a caller-owned
 // SolverWorkspace across solves. Both produce bit-identical iterates — the
 // workspace variants re-initialise exactly the state the classic variants
 // construct, so persistent scratch never leaks a previous solve into the
@@ -14,41 +14,12 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/preconditioner.hpp"
-#include "sparse/sell.hpp"
 
 namespace lcn::sparse {
-
-/// Method selection for the general (nonsymmetric) solve path.
-enum class GeneralMethod {
-  kAuto,      ///< BiCGSTAB, retry, then GMRES fallback (seed behaviour)
-  kBicgstab,  ///< BiCGSTAB + retry only — no GMRES fallback
-  kGmres,     ///< restarted GMRES directly (hard-to-converge systems)
-};
-
-/// Arithmetic policy for the general solve path (DESIGN.md §S20).
-enum class Precision {
-  kDouble,  ///< everything in fp64 (seed behaviour, bit-identical)
-  kMixed,   ///< fp32 inner Krylov + fp64 iterative refinement; falls back to
-            ///< the fp64 cascade when refinement stalls, so the final result
-            ///< always meets the fp64 tolerance
-};
 
 struct SolveOptions {
   double rel_tolerance = 1e-10;  ///< on ||r|| / ||b||
   std::size_t max_iterations = 0;  ///< 0 => 10 * n + 100
-  /// Which Krylov method the general solve path uses (opt-in; the default
-  /// preserves the historical BiCGSTAB-with-GMRES-fallback cascade).
-  GeneralMethod method = GeneralMethod::kAuto;
-  std::size_t gmres_restart = 40;   ///< Krylov dimension when GMRES runs
-  std::size_t gmres_max_outer = 0;  ///< 0 => ceil(10·n / restart) + 4
-  /// Arithmetic policy. The default fp64 path is untouched; kMixed runs the
-  /// fp32 inner solve + fp64 refinement loop of mixed_refined_solve().
-  Precision precision = Precision::kDouble;
-  /// Relative tolerance of each fp32 inner solve (on the scaled residual
-  /// system). fp32 cannot usefully go below ~1e-6; 1e-4 keeps the inner
-  /// iteration count small while each refinement step still gains ~4 digits.
-  double mixed_inner_tolerance = 1e-4;
-  std::size_t mixed_max_refinements = 40;
   /// Opt-in convergence telemetry (DESIGN.md §S19): capture the
   /// per-iteration relative residual into SolveReport::residual_history so
   /// stalls and preconditioner regressions are visible, not just iteration
@@ -83,12 +54,6 @@ struct SolverWorkspace {
   std::vector<Vector> basis;
   std::vector<Vector> h;
   Vector cs, sn, g, w, y, update;
-  // Mixed-precision scratch: the fp32 copy of the system (SELL-C-σ, refilled
-  // in place while the matrix keeps its symbolic structure) plus the fp32
-  // Krylov vectors and the fp64 refinement residual.
-  SellMatrixF a32;
-  VectorF xf, rf, axf, r0f, pf, vf, phatf, shatf, sf, tf;
-  Vector resid;
 };
 
 /// Preconditioned conjugate gradient. A must be symmetric positive definite.
@@ -111,35 +76,13 @@ SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                         const std::string& context,
                         const SolveOptions& opts = {});
-void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const std::string& context,
-                            const SolveOptions& opts = {});
 
-/// Fast-path variant: reuse a caller-held ILU(0) (already refactored for
-/// `a`) and a persistent workspace. Same method cascade and bit-identical
-/// iterates as the allocating variant with a fresh Ilu0Preconditioner(a).
-void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const std::string& context,
-                            const Ilu0Preconditioner& ilu, SolverWorkspace& ws,
-                            const SolveOptions& opts = {});
-
-/// Generic-preconditioner variant of the same cascade: any Preconditioner
-/// (multigrid, Jacobi, ...) already factored for `a`. With an
-/// Ilu0Preconditioner this is the exact code path of the overload above.
+/// The nonsymmetric solve: BiCGSTAB, one retry from a zero guess with 4× the
+/// iteration budget, then restarted GMRES — all with `m`, which must already
+/// be factored for `a`, and scratch from the persistent workspace `ws`.
+/// Throws lcn::RuntimeError(context) when all three fail.
 void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                             const std::string& context, const Preconditioner& m,
                             SolverWorkspace& ws, const SolveOptions& opts = {});
-
-/// Mixed-precision solve (DESIGN.md §S20): fp64 iterative refinement around
-/// fp32 BiCGSTAB inner solves of the scaled residual system, with the fp32
-/// system held as a SELL-C-σ copy in the workspace and the preconditioner
-/// applied through its fp32 path. Each refinement step computes the true
-/// fp64 residual, so `relative_residual` (and the convergence decision) are
-/// exact; `iterations` counts fp32 inner iterations. Returns unconverged —
-/// without throwing — when refinement stalls; callers (the cascade) then
-/// fall back to fp64.
-SolveReport mixed_refined_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                                const Preconditioner& m, SolverWorkspace& ws,
-                                const SolveOptions& opts = {});
 
 }  // namespace lcn::sparse

@@ -18,8 +18,6 @@
 namespace lcn::sparse {
 
 using Vector = std::vector<double>;
-/// fp32 storage for the mixed-precision inner solves (DESIGN.md §S20).
-using VectorF = std::vector<float>;
 
 inline double dot(const Vector& a, const Vector& b) {
   LCN_ASSERT(a.size() == b.size(), "dot: size mismatch");
@@ -68,46 +66,6 @@ inline void scale(double alpha, Vector& x) {
     return;
   }
   for (double& v : x) v *= alpha;
-}
-
-// fp32 kernels for the mixed-precision inner iterations. Storage and
-// multiplies are fp32; reductions accumulate in double (cheap, and it keeps
-// the inner Krylov recurrences from drowning in fp32 summation error).
-// Reductions stay serial for the same determinism reason as the fp64 ones.
-
-inline double dot_f32(const VectorF& a, const VectorF& b) {
-  LCN_ASSERT(a.size() == b.size(), "dot_f32: size mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return sum;
-}
-
-inline double norm2_f32(const VectorF& a) { return std::sqrt(dot_f32(a, a)); }
-
-/// y += alpha * x
-inline void axpy_f32(float alpha, const VectorF& x, VectorF& y) {
-  LCN_ASSERT(x.size() == y.size(), "axpy_f32: size mismatch");
-  if (parallel_kernels_enabled(x.size(), kVectorGrain)) {
-    parallel_ranges(x.size(), [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) y[i] += alpha * x[i];
-    });
-    return;
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-/// y = x + beta * y
-inline void xpby_f32(const VectorF& x, float beta, VectorF& y) {
-  LCN_ASSERT(x.size() == y.size(), "xpby_f32: size mismatch");
-  if (parallel_kernels_enabled(x.size(), kVectorGrain)) {
-    parallel_ranges(x.size(), [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) y[i] = x[i] + beta * y[i];
-    });
-    return;
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] + beta * y[i];
 }
 
 }  // namespace lcn::sparse

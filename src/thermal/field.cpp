@@ -58,16 +58,53 @@ SteadySolverConfig SteadySolverConfig::from_env() {
   if (precon == "mg" || precon == "multigrid") {
     cfg.precon = Precon::kMultigrid;
   }
-  const std::string method = env_string("LCN_SOLVER_METHOD", "auto");
-  if (method == "bicgstab") {
-    cfg.method = sparse::GeneralMethod::kBicgstab;
-  } else if (method == "gmres") {
-    cfg.method = sparse::GeneralMethod::kGmres;
-  }
-  if (env_string("LCN_SOLVER_PRECISION", "double") == "mixed") {
-    cfg.precision = sparse::Precision::kMixed;
-  }
   return cfg;
+}
+
+void SteadyWorkspace::factor(const sparse::CsrMatrix& matrix,
+                             const sparse::MgGridHint* hint,
+                             SteadySolverConfig::Precon precon) {
+  const bool same_structure = matrix.shared_row_ptr() == factored_rows_ &&
+                              matrix.shared_col_idx() == factored_cols_;
+  factored_rows_ = matrix.shared_row_ptr();
+  factored_cols_ = matrix.shared_col_idx();
+  if (precon == SteadySolverConfig::Precon::kMultigrid) {
+    auto* mg = std::get_if<sparse::MultigridPreconditioner>(&precon_);
+    if (mg != nullptr && same_structure) {
+      mg->refactor(matrix);
+    } else {
+      precon_.emplace<sparse::MultigridPreconditioner>(matrix, hint);
+    }
+  } else {
+    auto* ilu = std::get_if<sparse::Ilu0Preconditioner>(&precon_);
+    if (ilu != nullptr && same_structure) {
+      ilu->refactor(matrix);
+    } else {
+      precon_.emplace<sparse::Ilu0Preconditioner>(matrix);
+    }
+  }
+}
+
+void SteadyWorkspace::solve(const sparse::CsrMatrix& matrix,
+                            const sparse::Vector& rhs, sparse::Vector& x,
+                            const std::string& context, double rel_tolerance) {
+  const sparse::Preconditioner* m =
+      std::get_if<sparse::Ilu0Preconditioner>(&precon_);
+  if (m == nullptr) m = std::get_if<sparse::MultigridPreconditioner>(&precon_);
+  LCN_REQUIRE(m != nullptr, "SteadyWorkspace::solve before factor()");
+  sparse::SolveOptions opts;
+  opts.rel_tolerance = rel_tolerance;
+  sparse::solve_general_or_throw(matrix, rhs, x, context, *m, krylov_, opts);
+}
+
+std::optional<SteadySolverConfig::Precon> SteadyWorkspace::precon() const {
+  if (std::holds_alternative<sparse::Ilu0Preconditioner>(precon_)) {
+    return SteadySolverConfig::Precon::kIlu0;
+  }
+  if (std::holds_alternative<sparse::MultigridPreconditioner>(precon_)) {
+    return SteadySolverConfig::Precon::kMultigrid;
+  }
+  return std::nullopt;
 }
 
 ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
@@ -84,44 +121,12 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
   }
   const SteadySolverConfig cfg =
       config != nullptr ? *config : SteadySolverConfig::from_env();
-  sparse::SolveOptions opts;
-  opts.rel_tolerance = rel_tolerance;
-  opts.method = cfg.method;
-  opts.precision = cfg.precision;
   const WallTimer timer;
-  const bool use_mg = cfg.precon == SteadySolverConfig::Precon::kMultigrid;
-  if (workspace != nullptr) {
-    // Matrices refilled from one assembly plan share index arrays, so the
-    // preconditioner skips its symbolic analysis on every refactorization.
-    if (use_mg) {
-      if (workspace->mg) {
-        workspace->mg->refactor(system.matrix);
-      } else {
-        workspace->mg.emplace(system.matrix, system.mg_hint.get());
-      }
-      sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                     "steady thermal solve", *workspace->mg,
-                                     workspace->krylov, opts);
-    } else {
-      if (workspace->ilu) {
-        workspace->ilu->refactor(system.matrix);
-      } else {
-        workspace->ilu.emplace(system.matrix);
-      }
-      sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                     "steady thermal solve", *workspace->ilu,
-                                     workspace->krylov, opts);
-    }
-  } else if (use_mg) {
-    const sparse::MultigridPreconditioner mg(system.matrix,
-                                             system.mg_hint.get());
-    sparse::SolverWorkspace ws;
-    sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                   "steady thermal solve", mg, ws, opts);
-  } else {
-    sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                   "steady thermal solve", opts);
-  }
+  SteadyWorkspace local;
+  SteadyWorkspace& ws = workspace != nullptr ? *workspace : local;
+  ws.factor(system.matrix, system.mg_hint.get(), cfg.precon);
+  ws.solve(system.matrix, system.rhs, temps, "steady thermal solve",
+           rel_tolerance);
   const double seconds = timer.seconds();
   instrument::add_steady_solve(seconds);
   if (metrics::enabled()) {

@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -65,34 +67,55 @@ ThermalField make_field(const AssembledThermal& system,
 double advected_heat(const AssembledThermal& system,
                      const std::vector<double>& temperatures);
 
-/// Persistent state for repeated solve_steady() calls on systems that share
-/// a sparsity pattern (e.g. probe after probe on one model's assembly plan):
-/// the ILU(0) preconditioner keeps its symbolic analysis and refactorizes
-/// numerically, and the Krylov scratch vectors are reused instead of
-/// reallocated. One workspace per thread — no internal synchronization.
-struct SteadyWorkspace {
-  std::optional<sparse::Ilu0Preconditioner> ilu;
-  std::optional<sparse::MultigridPreconditioner> mg;
-  sparse::SolverWorkspace krylov;
-};
-
-/// Solver selection for solve_steady (DESIGN.md §S20). The default value is
-/// the seed configuration — ILU(0)-preconditioned fp64 cascade — and takes
-/// exactly the pre-existing code path, bit for bit. from_env() reads the
-/// LCN_SOLVER_* knobs so large-grid runs can switch the whole binary over
-/// without a code change (README "Solver selection").
+/// Preconditioner selection for the thermal solves (DESIGN.md §S20). The
+/// default is ILU(0). from_env() reads LCN_SOLVER_PRECON so large-grid runs
+/// can switch the whole binary over without a code change (README "Solver
+/// selection").
 struct SteadySolverConfig {
   enum class Precon {
-    kIlu0,       ///< zero fill-in incomplete LU (seed default)
+    kIlu0,       ///< zero fill-in incomplete LU (default)
     kMultigrid,  ///< geometric/algebraic multigrid V-cycle
   };
   Precon precon = Precon::kIlu0;
-  sparse::GeneralMethod method = sparse::GeneralMethod::kAuto;
-  sparse::Precision precision = sparse::Precision::kDouble;
 
-  /// LCN_SOLVER_PRECON=ilu0|mg, LCN_SOLVER_METHOD=auto|bicgstab|gmres,
-  /// LCN_SOLVER_PRECISION=double|mixed. Unset/unknown values keep defaults.
+  /// LCN_SOLVER_PRECON=ilu0|mg. Unset/unknown values keep the default.
   static SteadySolverConfig from_env();
+};
+
+/// The one preconditioner set-up and solve path shared by solve_steady() and
+/// TransientStepper: a single preconditioner plus the Krylov scratch, kept
+/// across calls. factor() on a matrix that shares the previous one's index
+/// arrays (probe after probe on one assembly plan, step after step on one
+/// transient operator) refactorizes numerically and skips the symbolic
+/// analysis; a new structure or preconditioner kind builds afresh. For
+/// ILU(0) and grid-hinted multigrid the refactored preconditioner equals a
+/// fresh construction, so results do not depend on what the workspace solved
+/// before. One workspace per thread — no internal synchronization.
+class SteadyWorkspace {
+ public:
+  /// Set the preconditioner up for `matrix`. `hint` feeds the multigrid
+  /// coarsening and is ignored by ILU(0).
+  void factor(const sparse::CsrMatrix& matrix, const sparse::MgGridHint* hint,
+              SteadySolverConfig::Precon precon);
+
+  /// Solve matrix · x = rhs with the preconditioner factor() set up for this
+  /// matrix (BiCGSTAB, retry, GMRES fallback); x carries the initial guess in
+  /// and the solution out. Throws lcn::RuntimeError(context) on
+  /// non-convergence.
+  void solve(const sparse::CsrMatrix& matrix, const sparse::Vector& rhs,
+             sparse::Vector& x, const std::string& context,
+             double rel_tolerance);
+
+  /// The kind factor() last set up; empty before the first factor().
+  std::optional<SteadySolverConfig::Precon> precon() const;
+
+ private:
+  std::variant<std::monostate, sparse::Ilu0Preconditioner,
+               sparse::MultigridPreconditioner>
+      precon_;
+  sparse::SharedIndexes factored_rows_;
+  sparse::SharedIndexes factored_cols_;
+  sparse::SolverWorkspace krylov_;
 };
 
 /// Solve the steady system (preconditioned BiCGSTAB, GMRES fallback) and
@@ -100,9 +123,10 @@ struct SteadySolverConfig {
 /// `initial_guess` (optional, right size) warm-starts the Krylov solve —
 /// the pressure searches probe many nearby P_sys values, and the previous
 /// temperature field is an excellent starting point. `workspace` (optional)
-/// carries preconditioner + Krylov scratch across calls; the solve itself is
-/// bit-identical with or without it. `config` (optional) selects the
-/// preconditioner/method/precision; null reads SteadySolverConfig::from_env().
+/// carries preconditioner + Krylov scratch across calls; without one the
+/// solve uses a fresh workspace, and the result is bit-identical either way.
+/// `config` (optional) selects the preconditioner; null reads
+/// SteadySolverConfig::from_env().
 ThermalField solve_steady(const AssembledThermal& system,
                           double rel_tolerance = 1e-9,
                           const std::vector<double>* initial_guess = nullptr,

@@ -4,7 +4,6 @@
 #include "common/instrument.hpp"
 #include "common/trace.hpp"
 #include "sparse/parallel.hpp"
-#include "sparse/solvers.hpp"
 
 namespace lcn {
 
@@ -90,19 +89,7 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
 
   // lhs_ borrows plan_'s index arrays on every refill, so the
   // preconditioner's refactorization skips its symbolic phase.
-  if (config_.precon == SteadySolverConfig::Precon::kMultigrid) {
-    if (workspace_.mg && same_structure) {
-      workspace_.mg->refactor(lhs_);
-    } else {
-      workspace_.mg.emplace(lhs_, system.mg_hint.get());
-    }
-  } else {
-    if (workspace_.ilu) {
-      workspace_.ilu->refactor(lhs_);
-    } else {
-      workspace_.ilu.emplace(lhs_);
-    }
-  }
+  workspace_.factor(lhs_, system.mg_hint.get(), config_.precon);
 }
 
 void TransientStepper::step(std::vector<double>& temps,
@@ -127,17 +114,7 @@ void TransientStepper::step(std::vector<double>& temps,
     }
   }
 
-  sparse::SolveOptions opts;
-  opts.rel_tolerance = rel_tolerance;
-  opts.method = config_.method;
-  opts.precision = config_.precision;
-  if (config_.precon == SteadySolverConfig::Precon::kMultigrid) {
-    sparse::solve_general_or_throw(lhs_, rhs_, temps, "transient step",
-                                   *workspace_.mg, workspace_.krylov, opts);
-  } else {
-    sparse::solve_general_or_throw(lhs_, rhs_, temps, "transient step",
-                                   *workspace_.ilu, workspace_.krylov, opts);
-  }
+  workspace_.solve(lhs_, rhs_, temps, "transient step", rel_tolerance);
   instrument::add_transient_step();
 }
 

@@ -21,8 +21,8 @@ struct TransientOptions {
   double dt = 1e-3;        ///< s
   int steps = 100;
   double rel_tolerance = 1e-9;
-  /// Solver selection (preconditioner / method / precision); unset reads
-  /// SteadySolverConfig::from_env(), matching solve_steady.
+  /// Preconditioner selection; unset reads SteadySolverConfig::from_env(),
+  /// matching solve_steady.
   std::optional<SteadySolverConfig> solver;
 };
 

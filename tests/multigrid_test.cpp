@@ -1,9 +1,9 @@
 // Tests for the next-gen solver core (DESIGN.md §S20): SELL-C-σ SpMV
 // bit-compatibility with CSR across thread counts, the multigrid
 // preconditioner (hierarchy shape, convergence, thread determinism, the
-// refactor() structure-change fallback for MG/ILU/IC), mixed-precision
-// refinement reaching the full fp64 tolerance, and solve_steady's solver
-// configuration dispatch (default config == pre-existing path, bit for bit).
+// refactor() structure-change fallback for MG/ILU/IC), and the preconditioner
+// selection of solve_steady and transient stepping through the shared
+// SteadyWorkspace.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +18,7 @@
 #include "sparse/solvers.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
+#include "thermal/transient.hpp"
 
 namespace lcn {
 namespace {
@@ -29,7 +30,6 @@ using sparse::SolveOptions;
 using sparse::SolveReport;
 using sparse::TripletList;
 using sparse::Vector;
-using sparse::VectorF;
 
 // 2D 5-point Laplacian on a g x g grid (above kSpmvGrain for g >= 140).
 CsrMatrix laplacian2d(std::size_t g) {
@@ -93,7 +93,7 @@ TEST(SellMatrix, MultiplyBitIdenticalToCsrAcrossThreadCounts) {
   Vector ref;
   a.multiply_serial(x, ref);
 
-  const sparse::SellMatrixD sell(a);
+  const sparse::SellMatrix sell(a);
   EXPECT_EQ(sell.nnz(), a.nnz());
   EXPECT_GE(sell.padded_slots(), sell.nnz());
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -107,7 +107,7 @@ TEST(SellMatrix, MultiplyBitIdenticalToCsrAcrossThreadCounts) {
 
 TEST(SellMatrix, RefillTracksNewValuesOnSharedStructure) {
   CsrMatrix a = laplacian2d(40);
-  sparse::SellMatrixD sell(a);
+  sparse::SellMatrix sell(a);
   ASSERT_TRUE(sell.shares_structure(a));
 
   // Same structure, new values (borrowing the shared index arrays).
@@ -125,7 +125,7 @@ TEST(SellMatrix, RefillTracksNewValuesOnSharedStructure) {
 }
 
 TEST(SellMatrix, RefillRebuildsOnStructureChange) {
-  sparse::SellMatrixD sell(laplacian2d(30));
+  sparse::SellMatrix sell(laplacian2d(30));
   const CsrMatrix other = laplacian2d(17);  // different pattern entirely
   EXPECT_FALSE(sell.shares_structure(other));
   sell.refill(other);
@@ -137,23 +137,6 @@ TEST(SellMatrix, RefillRebuildsOnStructureChange) {
   Vector y;
   sell.multiply(x, y);
   EXPECT_EQ(y, ref);
-}
-
-TEST(SellMatrix, Fp32MultiplyApproximatesFp64) {
-  const CsrMatrix a = laplacian2d(40);
-  const sparse::SellMatrixF sell32(a);
-  const Vector x = varied_vector(a.cols());
-  VectorF x32(x.begin(), x.end());
-  VectorF y32;
-  sell32.multiply(x32, y32);
-  Vector ref;
-  a.multiply_serial(x, ref);
-  ASSERT_EQ(y32.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(y32[i]), ref[i],
-                1e-5 * std::max(1.0, std::abs(ref[i])))
-        << "index " << i;
-  }
 }
 
 // --------------------------------------------------------------- multigrid
@@ -275,83 +258,6 @@ TEST(PreconRefactor, SharedStructureRefillMatchesFresh) {
   EXPECT_EQ(z_refactored, z_fresh);
 }
 
-// ----------------------------------------------------------- mixed precision
-
-TEST(MixedPrecision, RefinementReachesFp64Tolerance) {
-  const std::size_t g = 64;
-  const CsrMatrix a = laplacian2d(g);
-  const MgGridHint hint = plane_hint(g);
-  const MultigridPreconditioner mg(a, &hint);
-  const Vector b = varied_vector(a.rows());
-
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-10;
-  opts.precision = sparse::Precision::kMixed;
-  sparse::SolverWorkspace ws;
-  Vector x;
-  const SolveReport report = sparse::mixed_refined_solve(a, b, x, mg, ws, opts);
-  ASSERT_TRUE(report.converged);
-  EXPECT_LT(report.relative_residual, opts.rel_tolerance);
-
-  // The reported residual is the true fp64 residual of the returned iterate.
-  Vector r = a.multiply(x);
-  sparse::axpy(-1.0, b, r);
-  EXPECT_NEAR(sparse::norm2(r) / sparse::norm2(b), report.relative_residual,
-              1e-16);
-
-  // And the iterate agrees with a pure-fp64 solve to that tolerance.
-  Vector x64;
-  SolveOptions opts64;
-  opts64.rel_tolerance = 1e-10;
-  const SolveReport ref = bicgstab_solve(a, b, x64, mg, opts64);
-  ASSERT_TRUE(ref.converged);
-  const double xnorm = sparse::norm2(x64);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i], x64[i], 1e-6 * std::max(1.0, xnorm)) << "index " << i;
-  }
-}
-
-TEST(MixedPrecision, CascadeFallsBackToFp64WhenRefinementIsCapped) {
-  const CsrMatrix a = laplacian2d(40);
-  const Vector b = varied_vector(a.rows());
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-12;
-  opts.precision = sparse::Precision::kMixed;
-  opts.mixed_max_refinements = 1;  // too few steps for 12 digits: must stall
-  sparse::SolverWorkspace ws;
-  const sparse::Ilu0Preconditioner ilu(a);
-  Vector x;
-  // The public cascade entry point must still deliver the fp64 tolerance.
-  EXPECT_NO_THROW(sparse::solve_general_or_throw(a, b, x, "mixed fallback",
-                                                 ilu, ws, opts));
-  Vector r = a.multiply(x);
-  sparse::axpy(-1.0, b, r);
-  EXPECT_LT(sparse::norm2(r) / sparse::norm2(b), opts.rel_tolerance);
-}
-
-TEST(MixedPrecision, WorkspaceReuseMatchesFreshWorkspace) {
-  const CsrMatrix a = laplacian2d(32);
-  const Vector b = varied_vector(a.rows());
-  const sparse::JacobiPreconditioner m(a);
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-8;
-
-  sparse::SolverWorkspace fresh;
-  Vector x1;
-  const SolveReport r1 = sparse::mixed_refined_solve(a, b, x1, m, fresh, opts);
-
-  sparse::SolverWorkspace reused;
-  Vector warmup;
-  sparse::mixed_refined_solve(a, b, warmup, m, reused, opts);
-  Vector x2;
-  const SolveReport r2 = sparse::mixed_refined_solve(a, b, x2, m, reused, opts);
-
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(r2.converged);
-  EXPECT_EQ(x1, x2);  // reused scratch never leaks a previous solve
-  EXPECT_EQ(r1.iterations, r2.iterations);
-}
-
 // ------------------------------------------------------------- solve_steady
 
 TEST(SolveSteadyConfig, DefaultConfigBitIdenticalToLegacyPath) {
@@ -359,8 +265,8 @@ TEST(SolveSteadyConfig, DefaultConfigBitIdenticalToLegacyPath) {
   const Thermal4RM sim(problem, straight_networks(problem));
   const AssembledThermal system = sim.assemble(2000.0);
 
-  // No config (env knobs unset in tests) vs explicit default config vs the
-  // pre-PR call shape: all three must produce the same bits.
+  // No config (env knobs unset in tests) vs explicit default config vs a
+  // caller-held workspace: all three must produce the same bits.
   const ThermalField legacy = solve_steady(system, 1e-9);
   const SteadySolverConfig def;
   const ThermalField with_config =
@@ -370,11 +276,10 @@ TEST(SolveSteadyConfig, DefaultConfigBitIdenticalToLegacyPath) {
   SteadyWorkspace ws;
   const ThermalField with_ws = solve_steady(system, 1e-9, nullptr, &ws, &def);
   EXPECT_EQ(legacy.temperatures, with_ws.temperatures);
-  EXPECT_TRUE(ws.ilu.has_value());
-  EXPECT_FALSE(ws.mg.has_value());
+  EXPECT_EQ(ws.precon(), SteadySolverConfig::Precon::kIlu0);
 }
 
-TEST(SolveSteadyConfig, MultigridAndMixedAgreeWithDefault) {
+TEST(SolveSteadyConfig, MultigridAgreesWithDefault) {
   const CoolingProblem problem = small_problem();
   const Thermal4RM sim(problem, straight_networks(problem));
   const AssembledThermal system = sim.assemble(2000.0);
@@ -388,12 +293,7 @@ TEST(SolveSteadyConfig, MultigridAndMixedAgreeWithDefault) {
   SteadyWorkspace mg_ws;
   const ThermalField mg_field =
       solve_steady(system, 1e-10, nullptr, &mg_ws, &mg_cfg);
-  EXPECT_TRUE(mg_ws.mg.has_value());
-
-  SteadySolverConfig mixed_cfg = mg_cfg;
-  mixed_cfg.precision = sparse::Precision::kMixed;
-  const ThermalField mixed_field =
-      solve_steady(system, 1e-10, nullptr, nullptr, &mixed_cfg);
+  EXPECT_EQ(mg_ws.precon(), SteadySolverConfig::Precon::kMultigrid);
 
   // Same system solved to 1e-10: fields agree to solver tolerance.
   ASSERT_EQ(ref.temperatures.size(), mg_field.temperatures.size());
@@ -401,8 +301,6 @@ TEST(SolveSteadyConfig, MultigridAndMixedAgreeWithDefault) {
   for (double t : ref.temperatures) scale = std::max(scale, std::abs(t));
   for (std::size_t i = 0; i < ref.temperatures.size(); ++i) {
     EXPECT_NEAR(mg_field.temperatures[i], ref.temperatures[i], 1e-6 * scale);
-    EXPECT_NEAR(mixed_field.temperatures[i], ref.temperatures[i],
-                1e-6 * scale);
   }
 }
 
@@ -419,15 +317,81 @@ TEST(SolveSteadyConfig, MultigridWorkspaceRefactorsAcrossProbes) {
     EXPECT_LT(field.t_max, prev) << "P=" << p;
     prev = field.t_max;
   }
-  EXPECT_TRUE(ws.mg.has_value());
+  EXPECT_EQ(ws.precon(), SteadySolverConfig::Precon::kMultigrid);
 }
 
 TEST(SolveSteadyConfig, FromEnvDefaultsMatchSeedConfig) {
   const SteadySolverConfig cfg = SteadySolverConfig::from_env();
   const SteadySolverConfig def;
   EXPECT_EQ(cfg.precon, def.precon);
-  EXPECT_EQ(cfg.method, def.method);
-  EXPECT_EQ(cfg.precision, def.precision);
+}
+
+// --------------------------------------------------------- SteadyWorkspace
+
+// One workspace reused across preconditioner kinds and sparsity structures
+// must give the bits of a fresh workspace every time: a kind switch or a new
+// structure builds afresh, a same-structure refill refactorizes in place.
+TEST(SteadyWorkspace, ReuseAcrossKindsAndStructuresMatchesFreshWorkspace) {
+  const CoolingProblem problem = small_problem();
+  const Thermal4RM sim4(problem, straight_networks(problem));
+  const Thermal2RM sim2(problem, straight_networks(problem), 3);
+  const AssembledThermal a4 = sim4.assemble(2000.0);
+  const AssembledThermal b4 = sim4.assemble(3000.0);  // same plan, new values
+  const AssembledThermal a2 = sim2.assemble(2000.0);  // another structure
+
+  SteadySolverConfig ilu;
+  SteadySolverConfig mg;
+  mg.precon = SteadySolverConfig::Precon::kMultigrid;
+  const struct {
+    const AssembledThermal* system;
+    const SteadySolverConfig* cfg;
+  } sequence[] = {{&a4, &ilu}, {&b4, &ilu}, {&a4, &mg}, {&b4, &mg},
+                  {&a2, &mg},  {&a2, &ilu}, {&b4, &ilu}};
+
+  SteadyWorkspace reused;
+  for (const auto& [system, cfg] : sequence) {
+    SteadyWorkspace fresh;
+    const ThermalField want = solve_steady(*system, 1e-9, nullptr, &fresh, cfg);
+    const ThermalField got = solve_steady(*system, 1e-9, nullptr, &reused, cfg);
+    EXPECT_EQ(got.temperatures, want.temperatures);
+    EXPECT_EQ(reused.precon(), cfg->precon);
+  }
+}
+
+TEST(SteadyWorkspace, SolveBeforeFactorIsAContractError) {
+  const CoolingProblem problem = small_problem();
+  const Thermal2RM sim(problem, straight_networks(problem), 3);
+  const AssembledThermal system = sim.assemble(2000.0);
+  SteadyWorkspace ws;
+  EXPECT_FALSE(ws.precon().has_value());
+  std::vector<double> x(system.matrix.rows(), 300.0);
+  EXPECT_THROW(ws.solve(system.matrix, system.rhs, x, "unfactored", 1e-9),
+               ContractError);
+}
+
+// Transient stepping sets its preconditioner up through the same workspace
+// as solve_steady, so the multigrid choice reaches it too and converges to
+// the ILU(0) trajectory within solver tolerance.
+TEST(SteadyWorkspace, TransientMultigridMatchesIlu0Trajectory) {
+  const CoolingProblem problem = small_problem();
+  const Thermal4RM sim(problem, straight_networks(problem));
+  const AssembledThermal system = sim.assemble(2000.0);
+  const std::vector<double> cold(system.matrix.rows(), 300.0);
+
+  TransientOptions options;
+  options.dt = 2e-3;
+  options.steps = 20;
+  options.rel_tolerance = 1e-10;
+  options.solver = SteadySolverConfig{};
+  const auto ilu = simulate_transient(system, cold, options);
+  options.solver->precon = SteadySolverConfig::Precon::kMultigrid;
+  const auto mg = simulate_transient(system, cold, options);
+
+  ASSERT_EQ(ilu.size(), mg.size());
+  for (std::size_t i = 0; i < ilu.size(); ++i) {
+    EXPECT_NEAR(mg[i].t_max, ilu[i].t_max, 1e-6) << "step " << i;
+    EXPECT_NEAR(mg[i].delta_t, ilu[i].delta_t, 1e-6) << "step " << i;
+  }
 }
 
 }  // namespace

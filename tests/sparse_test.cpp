@@ -353,40 +353,5 @@ TEST(ResidualHistory, MultigridPreconditionedFinalEntryMatchesReport) {
   EXPECT_EQ(y, x);
 }
 
-TEST(ResidualHistory, MixedPrecisionFinalEntryMatchesReport) {
-  Rng rng(16);
-  const CsrMatrix a = random_spd(180, rng);
-  Vector b(180);
-  for (auto& v : b) v = rng.next_real(-1.0, 1.0);
-  const JacobiPreconditioner m(a);
-
-  Vector x;
-  SolverWorkspace ws;
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-10;
-  opts.record_residuals = true;
-  const SolveReport report = mixed_refined_solve(a, b, x, m, ws, opts);
-  ASSERT_TRUE(report.converged);
-  ASSERT_FALSE(report.residual_history.empty());
-  EXPECT_EQ(report.residual_history.back(), report.relative_residual);
-
-  // Stalled/capped refinement must keep the contract on the failure path.
-  Vector y;
-  SolveOptions capped = opts;
-  capped.mixed_max_refinements = 1;
-  capped.rel_tolerance = 1e-14;
-  const SolveReport stalled = mixed_refined_solve(a, b, y, m, ws, capped);
-  ASSERT_FALSE(stalled.converged);
-  ASSERT_FALSE(stalled.residual_history.empty());
-  EXPECT_EQ(stalled.residual_history.back(), stalled.relative_residual);
-
-  Vector z;
-  SolveOptions unrecorded;
-  unrecorded.rel_tolerance = 1e-10;
-  const SolveReport quiet = mixed_refined_solve(a, b, z, m, ws, unrecorded);
-  EXPECT_TRUE(quiet.residual_history.empty());
-  EXPECT_EQ(z, x);  // telemetry never perturbs the iterates
-}
-
 }  // namespace
 }  // namespace lcn::sparse
