@@ -98,6 +98,7 @@ void add_transient_refill() { bump(&CounterShard::transient_refills, 1); }
 void add_transient_rebuild() { bump(&CounterShard::transient_rebuilds, 1); }
 void add_rhs_refill() { bump(&CounterShard::rhs_refills, 1); }
 void add_scenario_step() { bump(&CounterShard::scenario_steps, 1); }
+void add_eval_failure() { bump(&CounterShard::eval_failures, 1); }
 
 Snapshot CounterShard::snapshot() const {
   Snapshot s;
@@ -156,7 +157,7 @@ std::string Snapshot::json() const {
       "\"jobs_completed\":%llu,\"jobs_cancelled\":%llu,"
       "\"transient_steps\":%llu,\"transient_refills\":%llu,"
       "\"transient_rebuilds\":%llu,\"rhs_refills\":%llu,"
-      "\"scenario_steps\":%llu}",
+      "\"scenario_steps\":%llu,\"eval_failures\":%llu}",
       static_cast<unsigned long long>(spmv_count),
       static_cast<unsigned long long>(spmv_nnz),
       static_cast<unsigned long long>(cg_solves),
@@ -192,7 +193,8 @@ std::string Snapshot::json() const {
       static_cast<unsigned long long>(transient_refills),
       static_cast<unsigned long long>(transient_rebuilds),
       static_cast<unsigned long long>(rhs_refills),
-      static_cast<unsigned long long>(scenario_steps));
+      static_cast<unsigned long long>(scenario_steps),
+      static_cast<unsigned long long>(eval_failures));
 }
 
 }  // namespace lcn::instrument

@@ -61,7 +61,8 @@ namespace lcn::instrument {
   X(transient_refills)             \
   X(transient_rebuilds)            \
   X(rhs_refills)                   \
-  X(scenario_steps)
+  X(scenario_steps)                \
+  X(eval_failures)
 
 /// Point-in-time copy of every counter. `json()` renders a flat JSON object
 /// (the "counters" field of the BENCH_parallel.json schema, README §Bench).
@@ -103,6 +104,7 @@ struct Snapshot {
   std::uint64_t transient_rebuilds = 0;    ///< full symbolic operator rebuilds
   std::uint64_t rhs_refills = 0;           ///< RHS-only boundary/power refills
   std::uint64_t scenario_steps = 0;        ///< dynamic-scenario engine steps
+  std::uint64_t eval_failures = 0;         ///< solver failures scored +inf
 
   double cache_hit_rate() const;
   std::string json() const;
@@ -154,6 +156,7 @@ void add_transient_refill();
 void add_transient_rebuild();
 void add_rhs_refill();
 void add_scenario_step();
+void add_eval_failure();
 
 Snapshot snapshot();
 /// Difference of two snapshots (per-phase accounting in benches). This is

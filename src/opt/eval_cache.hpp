@@ -22,15 +22,6 @@
 
 namespace lcn {
 
-/// How a network was scored; part of the cache key because the same network
-/// yields different EvalResults under different evaluation protocols.
-enum class EvalMode : std::uint8_t {
-  kFullP1 = 0,        ///< evaluate_p1 (Algorithm 2 pressure search)
-  kFullP2 = 1,        ///< evaluate_p2 (golden-section under budget)
-  kFixedPressure = 2, ///< ΔT at a fixed P_sys (SA stage-1 cost)
-  kP2Follower = 3,    ///< evaluate_p2_at (grouped-iteration follower)
-};
-
 /// Stable fingerprint of the fixed problem inputs (grid, stack, power maps,
 /// coolant, boundary conditions). Two optimizers over different problems can
 /// never alias cache entries even with identical networks.

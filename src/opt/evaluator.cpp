@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
+#include "common/instrument.hpp"
 #include "common/trace.hpp"
 
 namespace lcn {
@@ -176,6 +177,33 @@ EvalResult evaluate_p2_at(SystemEvaluator& eval,
   out.score = at_p.delta_t;
   out.at_p = at_p;
   return out;
+}
+
+EvalResult evaluate(const CoolingProblem& problem,
+                    const CoolingNetwork& network,
+                    const DesignConstraints& limits, EvalMode mode,
+                    const SimConfig& sim, const PressureSearchOptions& search,
+                    double pressure) {
+  try {
+    SystemEvaluator eval(problem, network, sim);
+    switch (mode) {
+      case EvalMode::kFullP1:
+        return evaluate_p1(eval, limits, search);
+      case EvalMode::kFullP2:
+        return evaluate_p2(eval, limits, search);
+      case EvalMode::kP2Follower:
+        return evaluate_p2_at(eval, limits, pressure);
+      case EvalMode::kFixedPressure: {
+        // ΔT at a fixed pressure: one simulation (§4.4 stage 1).
+        const ThermalProbe at_p = eval.probe(pressure);
+        return {.score = at_p.delta_t, .feasible = true, .p_sys = pressure,
+                .w_pump = eval.pumping_power(pressure), .at_p = at_p};
+      }
+    }
+  } catch (const RuntimeError&) {
+    instrument::add_eval_failure();
+  }
+  return EvalResult::infeasible_result();
 }
 
 }  // namespace lcn

@@ -38,8 +38,8 @@ struct ThermalProbe {
 
 class SystemEvaluator {
  public:
-  /// Throws (flow solve) when the network is hydraulically singular — the
-  /// caller treats construction failure as an infeasible design.
+  /// Throws (flow solve) when the network is hydraulically singular —
+  /// evaluate() scores construction failure as an infeasible design.
   SystemEvaluator(const CoolingProblem& problem, const CoolingNetwork& network,
                   const SimConfig& config);
 
@@ -103,5 +103,24 @@ EvalResult evaluate_p2(SystemEvaluator& eval, const DesignConstraints& limits,
 /// constraints.
 EvalResult evaluate_p2_at(SystemEvaluator& eval,
                           const DesignConstraints& limits, double p_sys);
+
+/// How a network is scored; part of the evaluator-cache key because the same
+/// network yields different EvalResults under different evaluation protocols.
+enum class EvalMode : std::uint8_t {
+  kFullP1 = 0,        ///< evaluate_p1 (Algorithm 2 pressure search)
+  kFullP2 = 1,        ///< evaluate_p2 (golden-section under budget)
+  kFixedPressure = 2, ///< ΔT at a fixed P_sys (SA stage-1 cost)
+  kP2Follower = 3,    ///< evaluate_p2_at (grouped-iteration follower)
+};
+
+/// The one way to score a candidate: builds its SystemEvaluator and runs
+/// `mode` (`pressure` is the operating point of kFixedPressure, which checks
+/// no constraint, and kP2Follower). A network the solvers cannot evaluate
+/// scores infeasible_result() and bumps the eval_failures counter.
+EvalResult evaluate(const CoolingProblem& problem,
+                    const CoolingNetwork& network,
+                    const DesignConstraints& limits, EvalMode mode,
+                    const SimConfig& sim, const PressureSearchOptions& search,
+                    double pressure = 0.0);
 
 }  // namespace lcn

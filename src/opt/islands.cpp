@@ -13,7 +13,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "network/design_rules.hpp"
 
 namespace lcn {
 
@@ -203,10 +202,12 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
     const SaStage& stage = stages[stage_idx];
     trace::Span stage_span("sa_stage");
     if (stage_span.active()) {
+      const StageLabels labels = stage_labels(stage);
       stage_span.set_args(strfmt(
-          "\"stage\":\"%s\",\"rounds\":%d,\"iterations\":%d,\"neighbors\":%d",
-          stage.name.c_str(), stage.rounds, stage.iterations,
-          stage.neighbors));
+          "\"stage\":\"%s\",\"model\":\"%s\",\"cost\":\"%s\","
+          "\"rounds\":%d,\"iterations\":%d,\"neighbors\":%d",
+          stage.name.c_str(), labels.model.c_str(), labels.cost.c_str(),
+          stage.rounds, stage.iterations, stage.neighbors));
     }
 
     // Stage-1-style cost needs a representative fixed pressure: take each
@@ -228,71 +229,23 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
     std::vector<double> group_pressure(
         static_cast<std::size_t>(K), opt_.search_options_.p_init);
 
+    // SA pools frequently regenerate layouts seen a few iterations ago — by
+    // any island: evaluate_network's cache is shared population-wide, so a
+    // design reached by two chains is only evaluated once.
     auto cost_of = [&](const TreeLayout& layout, bool leader, int island,
                        std::uint64_t* design) -> EvalResult {
+      const auto i = static_cast<std::size_t>(island);
       const CoolingNetwork net = opt_.realize(layout, direction);
-      DesignRules rules;
-      rules.forbidden = opt_.bench_.forbidden;
-      if (!check_design_rules(net, rules).ok()) {
-        if (design != nullptr) *design = 0;
-        return EvalResult::infeasible_result();
-      }
-      // SA pools frequently regenerate layouts seen a few iterations ago —
-      // by any island: the cache is shared population-wide, so a design
-      // reached by two chains is only evaluated once.
-      EvalMode mode;
-      double key_pressure = 0.0;
       if (stage.fixed_pressure_cost) {
-        mode = EvalMode::kFixedPressure;
-        key_pressure = fixed_pressure[static_cast<std::size_t>(island)];
-      } else if (opt_.objective_ == DesignObjective::kPumpingPower) {
-        mode = EvalMode::kFullP1;
-      } else if (stage.group_size > 1 && !leader) {
-        mode = EvalMode::kP2Follower;
-        key_pressure = group_pressure[static_cast<std::size_t>(island)];
-      } else {
-        mode = EvalMode::kFullP2;
+        return opt_.evaluate_network(net, stage.sim, EvalMode::kFixedPressure,
+                                     fixed_pressure[i], design);
       }
-      const EvalCacheKey key = make_eval_key(opt_.problem_fp_, net, stage.sim,
-                                             mode, key_pressure);
-      if (design != nullptr) *design = key.network;
-      if (const auto cached = opt_.cache_.find(key)) return *cached;
-      EvalResult result;
-      if (!opt_.robust_.empty() &&
-          (mode == EvalMode::kFullP1 || mode == EvalMode::kFullP2)) {
-        // Robust mode: worst case over the fixed fault sample. The cheap
-        // fixed-pressure / follower probes keep nominal scoring.
-        result = robust_evaluate(opt_.bench_.problem, net, opt_.constraints_,
-                                 mode, stage.sim, opt_.search_options_,
-                                 opt_.robust_);
-      } else {
-        try {
-          SystemEvaluator eval(opt_.bench_.problem, net, stage.sim);
-          if (stage.fixed_pressure_cost) {
-            // ΔT at a fixed pressure: one simulation (§4.4 stage 1).
-            const double p = fixed_pressure[static_cast<std::size_t>(island)];
-            result.feasible = true;
-            result.p_sys = p;
-            result.w_pump = eval.pumping_power(p);
-            result.at_p = eval.probe(p);
-            result.score = result.at_p.delta_t;
-          } else if (opt_.objective_ == DesignObjective::kPumpingPower) {
-            result = evaluate_p1(eval, opt_.constraints_,
-                                 opt_.search_options_);
-          } else if (stage.group_size > 1 && !leader) {
-            result = evaluate_p2_at(
-                eval, opt_.constraints_,
-                group_pressure[static_cast<std::size_t>(island)]);
-          } else {
-            result = evaluate_p2(eval, opt_.constraints_,
-                                 opt_.search_options_);
-          }
-        } catch (const RuntimeError&) {
-          result = EvalResult::infeasible_result();
-        }
+      if (opt_.full_mode_ == EvalMode::kFullP2 && stage.group_size > 1 &&
+          !leader) {
+        return opt_.evaluate_network(net, stage.sim, EvalMode::kP2Follower,
+                                     group_pressure[i], design);
       }
-      opt_.cache_.store(key, result);
-      return result;
+      return opt_.evaluate_network(net, stage.sim, std::nullopt, 0.0, design);
     };
 
     // Multi-round SA; rounds differ only in the random seed (§4.4). Rounds

@@ -33,17 +33,14 @@ RuntimePlan plan_runtime_flow(const CoolingProblem& nominal,
     }
 
     PhasePlan pp;
-    try {
-      SystemEvaluator eval(scaled, network, options.sim);
-      const EvalResult result = evaluate_p1(eval, limits, options.search);
-      pp.feasible = result.feasible;
-      if (result.feasible) {
-        pp.p_sys = result.p_sys;
-        pp.w_pump = result.w_pump;
-        pp.at_p = result.at_p;
-      }
-    } catch (const RuntimeError&) {
-      pp.feasible = false;
+    const EvalResult result = evaluate(scaled, network, limits,
+                                       EvalMode::kFullP1, options.sim,
+                                       options.search);
+    pp.feasible = result.feasible;
+    if (result.feasible) {
+      pp.p_sys = result.p_sys;
+      pp.w_pump = result.w_pump;
+      pp.at_p = result.at_p;
     }
     plan.feasible = plan.feasible && pp.feasible;
     plan.phases.push_back(pp);

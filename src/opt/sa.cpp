@@ -22,6 +22,11 @@ int scaled(int value, double scale) {
   return std::max(1, static_cast<int>(std::lround(value * scale)));
 }
 
+EvalMode full_mode(DesignObjective objective) {
+  return objective == DesignObjective::kPumpingPower ? EvalMode::kFullP1
+                                                     : EvalMode::kFullP2;
+}
+
 }  // namespace
 
 std::vector<SaStage> default_p1_stages(double scale) {
@@ -57,20 +62,24 @@ std::vector<SaStage> default_p2_stages(double scale) {
   return stages;
 }
 
+StageLabels stage_labels(const SaStage& stage) {
+  return {stage.sim.model == ThermalModelKind::k4RM
+              ? "4RM"
+              : strfmt("2RM m=%d", stage.sim.thermal_cell),
+          stage.fixed_pressure_cost
+              ? "dT @ fixed P"
+              : (stage.group_size > 1 ? strfmt("grouped/%d", stage.group_size)
+                                      : "full eval")};
+}
+
 std::string format_stages(const std::vector<SaStage>& stages) {
   TextTable table({"stage", "iterations", "rounds", "neighbors", "step",
                    "model", "cost"});
   for (const SaStage& s : stages) {
-    table.add_row(
-        {s.name, cell_int(s.iterations), cell_int(s.rounds),
-         cell_int(s.neighbors), cell_int(s.step),
-         s.sim.model == ThermalModelKind::k4RM
-             ? "4RM"
-             : strfmt("2RM m=%d", s.sim.thermal_cell),
-         s.fixed_pressure_cost
-             ? "dT @ fixed P"
-             : (s.group_size > 1 ? strfmt("grouped/%d", s.group_size)
-                                 : "full eval")});
+    StageLabels labels = stage_labels(s);
+    table.add_row({s.name, cell_int(s.iterations), cell_int(s.rounds),
+                   cell_int(s.neighbors), cell_int(s.step),
+                   std::move(labels.model), std::move(labels.cost)});
   }
   return table.str();
 }
@@ -78,9 +87,10 @@ std::string format_stages(const std::vector<SaStage>& stages) {
 TreeTopologyOptimizer::TreeTopologyOptimizer(const BenchmarkCase& bench,
                                              DesignObjective objective,
                                              std::uint64_t seed)
-    : bench_(bench), objective_(objective), constraints_(bench.constraints),
-      seed_(seed) {
-  if (objective_ == DesignObjective::kThermalGradient &&
+    : bench_(bench), constraints_(bench.constraints), seed_(seed),
+      full_mode_(full_mode(objective)) {
+  rules_.forbidden = bench_.forbidden;
+  if (objective == DesignObjective::kThermalGradient &&
       constraints_.w_pump_max <= 0.0) {
     constraints_.w_pump_max = problem2_pump_budget(bench);
   }
@@ -113,31 +123,28 @@ CoolingNetwork TreeTopologyOptimizer::realize(const TreeLayout& layout,
 }
 
 EvalResult TreeTopologyOptimizer::evaluate_network(
-    const CoolingNetwork& network, const SimConfig& sim) const {
-  DesignRules rules;
-  rules.forbidden = bench_.forbidden;
-  if (!check_design_rules(network, rules).ok()) {
+    const CoolingNetwork& network, const SimConfig& sim,
+    std::optional<EvalMode> mode, double pressure,
+    std::uint64_t* design) const {
+  if (!check_design_rules(network, rules_).ok()) {
+    if (design != nullptr) *design = 0;
     return EvalResult::infeasible_result();
   }
-  const EvalMode mode = objective_ == DesignObjective::kPumpingPower
-                            ? EvalMode::kFullP1
-                            : EvalMode::kFullP2;
-  const EvalCacheKey key = make_eval_key(problem_fp_, network, sim, mode);
+  const EvalMode resolved = mode.value_or(full_mode_);
+  const EvalCacheKey key = make_eval_key(problem_fp_, network, sim,
+                                         resolved, pressure);
+  if (design != nullptr) *design = key.network;
   if (const auto cached = cache_.find(key)) return *cached;
-  EvalResult result;
-  if (!robust_.empty()) {
-    result = robust_evaluate(bench_.problem, network, constraints_, mode,
-                             sim, search_options_, robust_);
-  } else {
-    try {
-      SystemEvaluator eval(bench_.problem, network, sim);
-      result = objective_ == DesignObjective::kPumpingPower
-                   ? evaluate_p1(eval, constraints_, search_options_)
-                   : evaluate_p2(eval, constraints_, search_options_);
-    } catch (const RuntimeError&) {
-      result = EvalResult::infeasible_result();
-    }
-  }
+  // Robust mode re-scores the full searches only; the fixed-pressure and
+  // follower probes exist to be cheap and keep nominal scoring.
+  const bool full =
+      resolved == EvalMode::kFullP1 || resolved == EvalMode::kFullP2;
+  const EvalResult result =
+      !robust_.empty() && full
+          ? robust_evaluate(bench_.problem, network, constraints_, resolved,
+                            sim, search_options_, robust_)
+          : evaluate(bench_.problem, network, constraints_, resolved, sim,
+                     search_options_, pressure);
   cache_.store(key, result);
   return result;
 }
@@ -211,6 +218,7 @@ BaselineOutcome best_straight_baseline(const BenchmarkCase& bench,
   BaselineOutcome best;
   best.eval = EvalResult::infeasible_result();
   const CoolingNetwork canonical = make_straight_channels(bench.problem.grid);
+  const EvalMode mode = full_mode(objective);
   // Straight channels are invariant under the row mirror, so only the four
   // rotations are distinct directions. Select with the fast model, then sign
   // off the winner with the accurate one.
@@ -219,32 +227,19 @@ BaselineOutcome best_straight_baseline(const BenchmarkCase& bench,
     CoolingNetwork net = canonical.transformed(D4Transform(dir));
     if (!bench.forbidden.empty()) apply_forbidden_region(net, bench.forbidden);
     if (!check_design_rules(net, rules).ok()) continue;
-    try {
-      SystemEvaluator eval(bench.problem, net, fast);
-      const EvalResult result =
-          objective == DesignObjective::kPumpingPower
-              ? evaluate_p1(eval, limits, options)
-              : evaluate_p2(eval, limits, options);
-      if (result.score < best.eval.score) {
-        best.eval = result;
-        best.network = net;
-        best.direction = dir;
-        best.feasible = result.feasible;
-      }
-    } catch (const RuntimeError&) {
-      continue;
+    const EvalResult result =
+        evaluate(bench.problem, net, limits, mode, fast, options);
+    if (result.score < best.eval.score) {
+      best.eval = result;
+      best.network = net;
+      best.direction = dir;
+      best.feasible = result.feasible;
     }
   }
   if (best.feasible || best.eval.p_sys > 0.0) {
-    try {
-      SystemEvaluator eval(bench.problem, best.network, signoff);
-      best.eval = objective == DesignObjective::kPumpingPower
-                      ? evaluate_p1(eval, limits, options)
-                      : evaluate_p2(eval, limits, options);
-      best.feasible = best.eval.feasible;
-    } catch (const RuntimeError&) {
-      best.feasible = false;
-    }
+    best.eval =
+        evaluate(bench.problem, best.network, limits, mode, signoff, options);
+    best.feasible = best.eval.feasible;
   }
   return best;
 }

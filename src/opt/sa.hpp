@@ -16,10 +16,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "geom/benchmarks.hpp"
+#include "network/design_rules.hpp"
 #include "network/generators.hpp"
 #include "opt/eval_cache.hpp"
 #include "opt/evaluator.hpp"
@@ -60,6 +62,14 @@ std::vector<SaStage> default_p1_stages(double scale = 1.0);
 /// rounds) scaled by `scale`.
 std::vector<SaStage> default_p2_stages(double scale = 1.0);
 
+/// A stage's "model" and "cost" labels: format_stages columns and sa_stage
+/// trace-span args.
+struct StageLabels {
+  std::string model;
+  std::string cost;
+};
+StageLabels stage_labels(const SaStage& stage);
+
 /// Render a stage schedule as an aligned table (the paper's Table 1).
 std::string format_stages(const std::vector<SaStage>& stages);
 
@@ -87,10 +97,16 @@ class TreeTopologyOptimizer {
   /// region).
   CoolingNetwork realize(const TreeLayout& layout, int direction) const;
 
-  /// Score one network: DRC + flow + thermal evaluation; infeasible designs
-  /// (including hydraulically broken ones) score +inf.
+  /// The one cached evaluation path (DESIGN.md §S10): DRC, cache, then
+  /// robust_evaluate (full modes in robust mode) or evaluate(). `mode`
+  /// defaults to the objective's full search; `design`, when given, receives
+  /// the network's content hash (0 for a DRC reject). Infeasible designs,
+  /// DRC rejects and hydraulically broken ones score +inf.
   EvalResult evaluate_network(const CoolingNetwork& network,
-                              const SimConfig& sim) const;
+                              const SimConfig& sim,
+                              std::optional<EvalMode> mode = std::nullopt,
+                              double pressure = 0.0,
+                              std::uint64_t* design = nullptr) const;
 
   const DesignConstraints& constraints() const { return constraints_; }
 
@@ -121,9 +137,10 @@ class TreeTopologyOptimizer {
                      std::size_t* evaluations) const;
 
   const BenchmarkCase& bench_;
-  DesignObjective objective_;
   DesignConstraints constraints_;
   std::uint64_t seed_;
+  EvalMode full_mode_;  ///< kFullP1 or kFullP2, from the objective
+  DesignRules rules_;   ///< DRC with the case's restricted region
   PressureSearchOptions search_options_;
   std::uint64_t problem_fp_ = 0;
   mutable EvaluatorCache cache_;

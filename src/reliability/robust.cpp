@@ -30,25 +30,15 @@ EvalResult robust_evaluate(const CoolingProblem& nominal,
                            const RobustSample& sample) {
   LCN_REQUIRE(mode == EvalMode::kFullP1 || mode == EvalMode::kFullP2,
               "robust evaluation supports the full P1/P2 modes only");
-  auto evaluate_one = [&](const CoolingProblem& problem,
-                          const CoolingNetwork& net) -> EvalResult {
-    try {
-      SystemEvaluator eval(problem, net, sim);
-      return mode == EvalMode::kFullP1 ? evaluate_p1(eval, limits, search)
-                                       : evaluate_p2(eval, limits, search);
-    } catch (const RuntimeError&) {
-      return EvalResult::infeasible_result();
-    }
-  };
-
-  EvalResult worst = evaluate_one(nominal, network);
+  EvalResult worst = evaluate(nominal, network, limits, mode, sim, search);
   if (!worst.feasible) return worst;
 
   for (const FaultScenario& scenario : sample.scenarios()) {
     const DegradedSystem degraded =
         apply_scenario(nominal, network, scenario);
     instrument::add_scenario_evaluated();
-    EvalResult result = evaluate_one(degraded.problem, degraded.network);
+    EvalResult result = evaluate(degraded.problem, degraded.network, limits,
+                                 mode, sim, search);
     // A droop caps the pressure the search may assume: scale the found
     // operating point back to the commanded frame so scores stay in
     // commanded-pressure units across scenarios.

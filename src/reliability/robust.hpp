@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "opt/eval_cache.hpp"
 #include "opt/evaluator.hpp"
 #include "reliability/fault_model.hpp"
 

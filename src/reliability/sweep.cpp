@@ -51,6 +51,7 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
   out.p_delivered = system.delivered_pressure(p_command);
   out.t_margin = -kInf;
   out.dt_margin = -kInf;
+  // Own evaluator, not evaluate(): recovery reuses its flow solve and probes.
   try {
     SystemEvaluator eval(system.problem, system.network, options.sim);
     out.at_p = eval.probe(out.p_delivered);

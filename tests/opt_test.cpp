@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/instrument.hpp"
 #include "network/design_rules.hpp"
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
@@ -123,6 +125,131 @@ TEST(EvaluateP2At, OverBudgetPressureIsInfeasible) {
       evaluate_p2_at(eval, bench.constraints, 1e6);
   EXPECT_FALSE(result.feasible);
 }
+
+void expect_same_result(const EvalResult& got, const EvalResult& want) {
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.score, want.score);
+  EXPECT_EQ(got.p_sys, want.p_sys);
+  EXPECT_EQ(got.w_pump, want.w_pump);
+  EXPECT_EQ(got.at_p.delta_t, want.at_p.delta_t);
+  EXPECT_EQ(got.at_p.t_max, want.at_p.t_max);
+}
+
+/// The one evaluation entry point, per EvalMode: evaluate() reproduces the
+/// SystemEvaluator sequence it replaced bit for bit and counts a solver
+/// failure once; evaluate_network() rejects DRC violations before the cache
+/// and, in robust mode, re-scores only the full searches.
+class EvaluateEntryPoint : public ::testing::TestWithParam<EvalMode> {};
+
+TEST_P(EvaluateEntryPoint, MatchesHandWrittenSequenceAndCachedPath) {
+  const EvalMode mode = GetParam();
+  BenchmarkCase bench = small_case();
+  bench.constraints.w_pump_max = 2e-3 * bench.problem.total_power();
+  const CoolingNetwork net = make_tree_network(
+      bench.problem.grid, make_uniform_layout(bench.problem.grid, 8, 16));
+  const double pressure = 3000.0;
+  PressureSearchOptions search;
+  search.rel_precision = 1e-2;
+
+  SystemEvaluator eval(bench.problem, net, fast_sim());
+  EvalResult want;
+  switch (mode) {
+    case EvalMode::kFullP1:
+      want = evaluate_p1(eval, bench.constraints, search);
+      break;
+    case EvalMode::kFullP2:
+      want = evaluate_p2(eval, bench.constraints, search);
+      break;
+    case EvalMode::kP2Follower:
+      want = evaluate_p2_at(eval, bench.constraints, pressure);
+      break;
+    case EvalMode::kFixedPressure:
+      want.feasible = true;
+      want.p_sys = pressure;
+      want.w_pump = eval.pumping_power(pressure);
+      want.at_p = eval.probe(pressure);
+      want.score = want.at_p.delta_t;
+      break;
+  }
+  ASSERT_TRUE(want.feasible);
+  expect_same_result(evaluate(bench.problem, net, bench.constraints, mode,
+                              fast_sim(), search, pressure),
+                     want);
+
+  // Every inlet blocked: the flow solve throws, and the one catch scores
+  // the design infeasible and counts the failure exactly once.
+  CoolingNetwork serpentine = make_serpentine(bench.problem.grid);
+  const Port inlet = serpentine.ports().front().kind == PortKind::kInlet
+                         ? serpentine.ports().front()
+                         : serpentine.ports().back();
+  FaultScenario blockage;
+  blockage.faults.push_back({FaultKind::kChannelBlockage, inlet.row,
+                             inlet.col, 0, /*severity=*/1.0, 0.0, -1});
+  const DegradedSystem broken =
+      apply_scenario(bench.problem, serpentine, blockage);
+  const std::uint64_t failures = instrument::snapshot().eval_failures;
+  expect_same_result(evaluate(broken.problem, broken.network,
+                              bench.constraints, mode, fast_sim(), search,
+                              pressure),
+                     EvalResult::infeasible_result());
+  EXPECT_EQ(instrument::snapshot().eval_failures, failures + 1);
+
+  // The optimizer's cached path in robust mode: a DRC reject never reaches
+  // the cache; the full searches equal robust_evaluate, the fixed-pressure
+  // probes stay nominal. Power excursions only, so every robust score is
+  // strictly worse than the nominal one.
+  TreeTopologyOptimizer opt(bench, DesignObjective::kPumpingPower, 3);
+  RobustOptions robust;
+  robust.scenarios = 2;
+  robust.distribution.p_blockage = 0.0;
+  robust.distribution.p_pump_droop = 0.0;
+  robust.distribution.p_inlet_drift = 0.0;
+  robust.distribution.p_power_excursion = 1.0;
+  opt.enable_robust_mode(robust);
+
+  CoolingNetwork dirty(bench.problem.grid, /*alternating_tsvs=*/false);
+  for (int c = 0; c < 31; ++c) dirty.set_liquid(1, c);  // odd row: TSV row
+  dirty.add_port({1, 0, Side::kWest, PortKind::kInlet});
+  dirty.add_port({1, 30, Side::kEast, PortKind::kOutlet});
+  std::uint64_t design = 1;
+  expect_same_result(
+      opt.evaluate_network(dirty, fast_sim(), mode, pressure, &design),
+      EvalResult::infeasible_result());
+  EXPECT_EQ(design, 0u);
+  EXPECT_EQ(opt.cache().misses(), 0u);
+  EXPECT_EQ(opt.cache().hits(), 0u);
+
+  // The optimizer's own search options (TreeTopologyOptimizer constructor).
+  search.max_probes = 60;
+  const EvalResult nominal = evaluate(bench.problem, net, opt.constraints(),
+                                      mode, fast_sim(), search, pressure);
+  const EvalResult cached =
+      opt.evaluate_network(net, fast_sim(), mode, pressure, &design);
+  EXPECT_EQ(design, net.content_hash());
+  EXPECT_EQ(opt.cache().misses(), 1u);
+  if (mode == EvalMode::kFullP1 || mode == EvalMode::kFullP2) {
+    expect_same_result(cached, robust_evaluate(bench.problem, net,
+                                               opt.constraints(), mode,
+                                               fast_sim(), search,
+                                               opt.robust_sample()));
+    EXPECT_GT(cached.score, nominal.score);
+  } else {
+    expect_same_result(cached, nominal);
+  }
+}
+
+std::string mode_name(const ::testing::TestParamInfo<EvalMode>& info) {
+  static const char* const kNames[] = {"FullP1", "FullP2", "FixedPressure",
+                                       "P2Follower"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, EvaluateEntryPoint,
+                         ::testing::Values(EvalMode::kFullP1,
+                                           EvalMode::kFullP2,
+                                           EvalMode::kFixedPressure,
+                                           EvalMode::kP2Follower),
+                         mode_name);
 
 TEST(Baseline, PicksBestDirectionAndSatisfiesConstraints) {
   const BenchmarkCase bench = small_case();

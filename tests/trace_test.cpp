@@ -1,7 +1,8 @@
 // Tests for the structured tracing subsystem (DESIGN.md §S19): the disabled
 // path emits nothing at any pool width, enabled spans round-trip through the
 // JSONL sink with correct begin/end pairing and per-thread monotonic
-// timestamps, and ring overflow is accounted — never silently lost.
+// timestamps, ring overflow is accounted — never silently lost — and SA
+// stage spans name their thermal model and cost mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "common/manifest.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "opt/sa.hpp"
 
 namespace lcn {
 namespace {
@@ -217,6 +219,58 @@ TEST_F(TraceTest, FlushDrainsMidSessionAndRestartReusesThreads) {
   const std::vector<std::string> lines = read_lines(path_);
   ASSERT_EQ(lines.size(), 2u);  // "w" mode truncates: manifest + second
   EXPECT_EQ(extract_string(lines[1], "name"), "second");
+}
+
+TEST_F(TraceTest, SaStageSpansCarryModelAndCost) {
+  path_ = temp_trace_path("sa_stage");
+  BenchmarkCase bench;
+  bench.name = "trace-tiny";
+  bench.problem.grid = Grid2D(31, 31, 100e-6);
+  bench.problem.stack = make_interlayer_stack(2, 200e-6);
+  bench.problem.source_power.push_back(
+      synthesize_power_map(bench.problem.grid, 4.4, 11));
+  bench.problem.source_power.push_back(
+      synthesize_power_map(bench.problem.grid, 3.6, 12));
+  bench.constraints.delta_t_max = 12.0;
+  bench.constraints.t_max = 400.0;
+  const SimConfig fast{ThermalModelKind::k2RM, 3};
+  const SimConfig accurate{ThermalModelKind::k4RM, 1};
+  const std::vector<SaStage> stages = {
+      {"t-accurate", 1, 1, 1, 2, accurate, false, 1},
+      {"t-fixed", 1, 1, 2, 4, fast, true, 1},
+      {"t-grouped", 2, 1, 2, 4, fast, false, 2}};
+  const std::map<std::string, std::pair<std::string, std::string>> expected =
+      {{"t-accurate", {"4RM", "full eval"}},
+       {"t-fixed", {"2RM m=3", "dT @ fixed P"}},
+       {"t-grouped", {"2RM m=3", "grouped/2"}}};
+
+  trace::TraceConfig config;
+  config.path = path_;
+  config.background_flush = false;
+  trace::start(config);
+  TreeTopologyOptimizer opt(bench, DesignObjective::kPumpingPower, 5);
+  opt.run(stages);
+  trace::stop();
+
+  std::map<std::string, std::string> stage_args;
+  for (const std::string& line : read_lines(path_)) {
+    if (extract_string(line, "name") != "sa_stage" ||
+        extract_string(line, "ph") != "E") {
+      continue;
+    }
+    stage_args[extract_string(line, "stage")] = line;
+  }
+  ASSERT_EQ(stage_args.size(), stages.size());
+  for (const SaStage& stage : stages) {
+    const std::string& line = stage_args[stage.name];
+    const auto& [model, cost] = expected.at(stage.name);
+    EXPECT_EQ(extract_string(line, "model"), model) << line;
+    EXPECT_EQ(extract_string(line, "cost"), cost) << line;
+    // The span and format_stages share one labelling helper.
+    const StageLabels labels = stage_labels(stage);
+    EXPECT_EQ(labels.model, model);
+    EXPECT_EQ(labels.cost, cost);
+  }
 }
 
 TEST(Manifest, ProvidesBuildProvenance) {
