@@ -3,7 +3,7 @@
 // The registry's contract is that an *enabled* histogram observation stays
 // within a small constant factor of the bare relaxed counter add the hot
 // paths already pay (common/instrument). This bench measures both on one
-// thread — N instrument::add_* calls vs N metrics::observe() calls over a
+// thread — N instrument::add() calls vs N metrics::observe() calls over a
 // precomputed spread of values — plus the full ScopedLatency cost (two
 // steady_clock reads) for reference, and self-checks the observe/add ratio.
 //
@@ -58,7 +58,7 @@ int main() {
   // Phase 1: bare relaxed counter add (the existing instrument idiom).
   const auto t_add = Clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    instrument::add_pressure_probe();
+    instrument::add(instrument::Counter::pressure_probes);
   }
   const double add_seconds = seconds_since(t_add);
 

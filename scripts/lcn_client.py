@@ -19,8 +19,9 @@ Exits nonzero on any failure or on hitting --timeout.
 `metrics` fetches the JSON metrics snapshot over the NDJSON protocol and
 validates its shape. `scrape` speaks raw HTTP to the same port (the daemon
 co-hosts a Prometheus text endpoint, DESIGN.md S24) and validates the
-exposition with a stdlib-only parser: every histogram's buckets must be
-cumulative and its `+Inf` bucket must equal `_count`.
+exposition with a stdlib-only parser: every counter and histogram family must
+carry a `# HELP` line, every histogram's buckets must be cumulative and its
+`+Inf` bucket must equal `_count`.
 """
 
 import argparse
@@ -140,12 +141,13 @@ def metrics_op(args):
 
 
 def parse_prometheus(text):
-    """Parse text exposition format 0.0.4 into (types, samples, errors).
+    """Parse text exposition format 0.0.4 into (types, helps, samples, errors).
 
     types:   metric family name -> declared type
+    helps:   metric family name -> help text
     samples: series name -> list of (labels_dict, value) in document order
     """
-    types, samples, errors = {}, {}, []
+    types, helps, samples, errors = {}, {}, {}, []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -154,6 +156,8 @@ def parse_prometheus(text):
             parts = line.split(None, 3)
             if len(parts) >= 3 and parts[1] == "TYPE":
                 types[parts[2]] = parts[3] if len(parts) > 3 else ""
+            elif len(parts) >= 3 and parts[1] == "HELP":
+                helps[parts[2]] = parts[3] if len(parts) > 3 else ""
             continue
         brace = line.find("{")
         labels = {}
@@ -187,7 +191,7 @@ def parse_prometheus(text):
                 lineno, rest[0]))
             continue
         samples.setdefault(name, []).append((labels, value))
-    return types, samples, errors
+    return types, helps, samples, errors
 
 
 def check_histograms(types, samples):
@@ -254,12 +258,15 @@ def scrape(args):
     text = body.decode("utf-8")
     if not args.quiet:
         sys.stdout.write(text)
-    types, samples, errors = parse_prometheus(text)
+    types, helps, samples, errors = parse_prometheus(text)
     failures = ["parse: " + e for e in errors]
     failures += check_histograms(types, samples)
     counters = [n for n, t in types.items() if t == "counter"]
     if not counters:
         failures.append("no counter families in the exposition")
+    for family, kind in types.items():
+        if kind in ("counter", "histogram") and not helps.get(family):
+            failures.append("%s: %s family without # HELP" % (family, kind))
     for failure in failures:
         print("FAIL: %s" % failure, file=sys.stderr)
     if not failures:

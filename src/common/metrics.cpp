@@ -5,10 +5,8 @@
 #include <cmath>
 
 #include "common/env.hpp"
-#include "common/instrument.hpp"
 #include "common/manifest.hpp"
 #include "common/strings.hpp"
-#include "common/task_context.hpp"
 
 namespace lcn::metrics {
 
@@ -26,10 +24,6 @@ constexpr const char* kGaugeNames[] = {
     LCN_METRIC_GAUGES(LCN_METRICS_NAME_ENTRY)};
 constexpr const char* kGaugeHelp[] = {
     LCN_METRIC_GAUGES(LCN_METRICS_HELP_ENTRY)};
-constexpr const char* kCounterNames[] = {
-    LCN_METRIC_COUNTERS(LCN_METRICS_NAME_ENTRY)};
-constexpr const char* kCounterHelp[] = {
-    LCN_METRIC_COUNTERS(LCN_METRICS_HELP_ENTRY)};
 #undef LCN_METRICS_NAME_ENTRY
 #undef LCN_METRICS_HELP_ENTRY
 
@@ -78,25 +72,6 @@ std::size_t this_thread_stripe() {
 
 }  // namespace
 
-const char* hist_name(Hist h) {
-  return kHistNames[static_cast<std::size_t>(h)];
-}
-const char* hist_help(Hist h) {
-  return kHistHelp[static_cast<std::size_t>(h)];
-}
-const char* gauge_name(Gauge g) {
-  return kGaugeNames[static_cast<std::size_t>(g)];
-}
-const char* gauge_help(Gauge g) {
-  return kGaugeHelp[static_cast<std::size_t>(g)];
-}
-const char* counter_name(Counter c) {
-  return kCounterNames[static_cast<std::size_t>(c)];
-}
-const char* counter_help(Counter c) {
-  return kCounterHelp[static_cast<std::size_t>(c)];
-}
-
 std::atomic<int> g_level{level_from_env()};
 
 void set_level(int level) {
@@ -133,13 +108,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return s;
 }
 
-void Histogram::reset() {
-  for (Stripe& stripe : stripes_) {
-    for (auto& c : stripe.counts) c.store(0, kRelaxed);
-    stripe.sum_nanos.store(0, kRelaxed);
-  }
-}
-
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   for (std::size_t b = 0; b < kBucketCount; ++b) {
     buckets[b] += other.buckets[b];
@@ -166,16 +134,6 @@ double HistogramSnapshot::quantile(double q) const {
 
 // ---------------------------------------------------------------------------
 // Shard + snapshot
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (std::size_t h = 0; h < kHistCount; ++h) {
-    histograms[h].merge(other.histograms[h]);
-  }
-  for (std::size_t g = 0; g < kGaugeCount; ++g) gauges[g] = other.gauges[g];
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    counters[c] += other.counters[c];
-  }
-}
 
 std::string MetricsSnapshot::json() const {
   std::string out = "{\"histograms\":{";
@@ -217,12 +175,7 @@ std::string MetricsSnapshot::json() const {
     out += strfmt("%s\"%s\":%lld", g == 0 ? "" : ",", kGaugeNames[g],
                   static_cast<long long>(gauges[g]));
   }
-  out += "},\"counters\":{";
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    out += strfmt("%s\"%s\":%llu", c == 0 ? "" : ",", kCounterNames[c],
-                  static_cast<unsigned long long>(counters[c]));
-  }
-  out += "}}";
+  out += "},\"counters\":" + counters.json() + "}";
   return out;
 }
 
@@ -234,16 +187,26 @@ MetricsSnapshot MetricShard::snapshot() const {
   for (std::size_t g = 0; g < kGaugeCount; ++g) {
     s.gauges[g] = gauges[g].load(kRelaxed);
   }
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    s.counters[c] = counters[c].load(kRelaxed);
-  }
+  s.counters = counter_snapshot();
   return s;
 }
 
-void MetricShard::reset() {
-  for (auto& h : histograms) h.reset();
-  for (auto& g : gauges) g.store(0, kRelaxed);
-  for (auto& c : counters) c.store(0, kRelaxed);
+instrument::Snapshot MetricShard::counter_snapshot() const {
+  instrument::Snapshot s;
+#define LCN_METRICS_LOAD(name, help) \
+  s.name = counter(instrument::Counter::name).load(kRelaxed);
+  LCN_INSTRUMENT_COUNTERS(LCN_METRICS_LOAD)
+#undef LCN_METRICS_LOAD
+  return s;
+}
+
+instrument::Snapshot MetricShard::drain_counters() {
+  instrument::Snapshot s;
+#define LCN_METRICS_DRAIN(name, help) \
+  s.name = counter(instrument::Counter::name).exchange(0, kRelaxed);
+  LCN_INSTRUMENT_COUNTERS(LCN_METRICS_DRAIN)
+#undef LCN_METRICS_DRAIN
+  return s;
 }
 
 MetricShard& global_shard() {
@@ -252,24 +215,13 @@ MetricShard& global_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// Billing (global + session shard, mirroring instrument::bump)
+// Entry points
 
 void observe(Hist h, double seconds) {
   const std::size_t i = static_cast<std::size_t>(h);
-  global_shard().histograms[i].observe(seconds);
-  const TaskContext* ctx = current_task_context();
-  if (ctx != nullptr && ctx->metrics != nullptr) {
-    ctx->metrics->histograms[i].observe(seconds);
-  }
-}
-
-void count(Counter c, std::uint64_t n) {
-  const std::size_t i = static_cast<std::size_t>(c);
-  global_shard().counters[i].fetch_add(n, kRelaxed);
-  const TaskContext* ctx = current_task_context();
-  if (ctx != nullptr && ctx->metrics != nullptr) {
-    ctx->metrics->counters[i].fetch_add(n, kRelaxed);
-  }
+  bill([i, seconds](MetricShard& shard) {
+    shard.histograms[i].observe(seconds);
+  });
 }
 
 void gauge_set(Gauge g, std::int64_t value) {
@@ -328,7 +280,6 @@ std::string bucket_labels(const std::string& labels, const char* le) {
 }  // namespace
 
 std::string prometheus_text(const MetricsSnapshot& metrics,
-                            const instrument::Snapshot& counters,
                             const std::string& labels) {
   std::string out;
   out.reserve(16384);
@@ -361,20 +312,11 @@ std::string prometheus_text(const MetricsSnapshot& metrics,
                   static_cast<long long>(metrics.gauges[g]));
   }
 
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    out += strfmt("# HELP lcn_%s_total %s\n", kCounterNames[c],
-                  kCounterHelp[c]);
-    out += strfmt("# TYPE lcn_%s_total counter\n", kCounterNames[c]);
-    out += strfmt("lcn_%s_total%s %llu\n", kCounterNames[c], plain.c_str(),
-                  static_cast<unsigned long long>(metrics.counters[c]));
-  }
-
-  // Every instrument work counter rides along as lcn_<name>_total, so one
-  // scrape covers both registries.
-#define LCN_METRICS_PROM_COUNTER(name)                         \
-  out += "# TYPE lcn_" #name "_total counter\n";               \
-  out += strfmt("lcn_" #name "_total%s %llu\n", plain.c_str(), \
-                static_cast<unsigned long long>(counters.name));
+#define LCN_METRICS_PROM_COUNTER(name, help)                      \
+  out += "# HELP lcn_" #name "_total " help "\n"                   \
+         "# TYPE lcn_" #name "_total counter\n"                    \
+         "lcn_" #name "_total" + plain + " " +                     \
+         std::to_string(metrics.counters.name) + "\n";
   LCN_INSTRUMENT_COUNTERS(LCN_METRICS_PROM_COUNTER)
 #undef LCN_METRICS_PROM_COUNTER
 

@@ -1,11 +1,12 @@
-// Metrics registry: counters, gauges and log-bucketed latency histograms
-// (DESIGN.md §S24).
+// Telemetry registry: log-bucketed latency histograms, gauges and the
+// storage of every instrument counter (DESIGN.md §S24).
 //
-// common/instrument answers "how much work ran" (monotonic event counts);
-// this layer answers "how long did it take and how is the service doing":
-// latency *distributions* for the solver and serving hot paths, health
-// gauges for the scheduler, and SLO counters — scrapeable from a live
-// lcn_serve daemon (the `metrics` protocol op and a Prometheus text
+// common/instrument declares the one counter list and answers "how much
+// work ran"; this layer answers "how long did it take and how is the
+// service doing": latency *distributions* for the solver and serving hot
+// paths and health gauges for the scheduler. One MetricShard holds all
+// three, so a session owns one shard and every series is scrapeable from a
+// live lcn_serve daemon (the `metrics` protocol op and a Prometheus text
 // endpoint) instead of only post-hoc bench JSON.
 //
 // Determinism contract: histogram bucket boundaries are fixed at compile
@@ -27,11 +28,11 @@
 //    are striped kStripes-ways to keep pool threads off each other's cache
 //    lines). bench_metrics measures this against a bare counter add.
 //
-// Session sharding (§S22): observe()/count() bill the process-wide registry
-// and *additionally* the MetricShard of the installed TaskContext, exactly
-// like instrument::CounterShard — each tenant gets isolated distributions.
-// Gauges are process-health values (queue depth, running jobs) and are
-// global-only.
+// Session sharding (§S22): observe() and instrument::add() bill the
+// process-wide registry and *additionally* the MetricShard of the installed
+// TaskContext through one helper, bill() — each tenant gets isolated
+// counters and distributions. Gauges are process-health values (queue
+// depth, running jobs) and are global-only.
 #pragma once
 
 #include <array>
@@ -41,15 +42,14 @@
 #include <string>
 #include <vector>
 
-namespace lcn::instrument {
-struct Snapshot;  // common/instrument.hpp
-}
+#include "common/instrument.hpp"
+#include "common/task_context.hpp"
 
 namespace lcn::metrics {
 
 // ---------------------------------------------------------------------------
-// Metric lists (X-macros: enums, name/help tables, shard fields and JSON are
-// all generated from one list, same idiom as LCN_INSTRUMENT_COUNTERS).
+// Metric lists (X-macros: enums, name/help tables and JSON are generated
+// from one list, same idiom as LCN_INSTRUMENT_COUNTERS).
 
 /// Latency histograms, all in seconds. `coarse` sites record per solve /
 /// job / step; `fine` sites are hot (thousands per SA iteration).
@@ -73,13 +73,6 @@ namespace lcn::metrics {
   X(running_jobs, "Jobs currently executing")                         \
   X(client_connections, "Open client connections on service::Server")
 
-/// Monotonic health counters (beyond the work counters in instrument).
-#define LCN_METRIC_COUNTERS(X)                                             \
-  X(deadline_misses, "Jobs cancelled by the watchdog past their deadline") \
-  X(slo_breaches, "Completed jobs whose wall time exceeded LCN_SLO_SECONDS") \
-  X(jobs_rejected, "Jobs refused because the scheduler was shutting down") \
-  X(metrics_scrapes, "Snapshot requests served (metrics op + HTTP scrapes)")
-
 #define LCN_METRICS_ENUM_ENTRY(name, help) name,
 enum class Hist : std::size_t {
   LCN_METRIC_HISTOGRAMS(LCN_METRICS_ENUM_ENTRY) kCount
@@ -87,24 +80,10 @@ enum class Hist : std::size_t {
 enum class Gauge : std::size_t {
   LCN_METRIC_GAUGES(LCN_METRICS_ENUM_ENTRY) kCount
 };
-enum class Counter : std::size_t {
-  LCN_METRIC_COUNTERS(LCN_METRICS_ENUM_ENTRY) kCount
-};
 #undef LCN_METRICS_ENUM_ENTRY
 
 constexpr std::size_t kHistCount = static_cast<std::size_t>(Hist::kCount);
 constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCount);
-constexpr std::size_t kCounterCount =
-    static_cast<std::size_t>(Counter::kCount);
-
-/// Metric names as they appear in JSON snapshots and (prefixed with `lcn_`)
-/// in the Prometheus exposition.
-const char* hist_name(Hist h);
-const char* hist_help(Hist h);
-const char* gauge_name(Gauge g);
-const char* gauge_help(Gauge g);
-const char* counter_name(Counter c);
-const char* counter_help(Counter c);
 
 // ---------------------------------------------------------------------------
 // Level gating (mirrors trace::g_level).
@@ -129,8 +108,8 @@ void set_level(int level);
 
 /// Finite bucket upper bounds in seconds: 1e-6 * 2^i for i in [0, 38).
 /// Observation x lands in the first bucket with x <= bound; anything above
-/// the last finite bound (~76 h) lands in the overflow bucket. 38 finite
-/// bounds + overflow = kBucketCount buckets per histogram.
+/// the last finite bound (1e-6 * 2^37 s ≈ 38 h) lands in the overflow
+/// bucket. 38 finite bounds + overflow = kBucketCount buckets per histogram.
 constexpr std::size_t kFiniteBuckets = 38;
 constexpr std::size_t kBucketCount = kFiniteBuckets + 1;
 
@@ -168,7 +147,6 @@ class Histogram {
 
   void observe(double seconds);
   HistogramSnapshot snapshot() const;
-  void reset();
 
  private:
   struct alignas(64) Stripe {
@@ -181,14 +159,11 @@ class Histogram {
 // ---------------------------------------------------------------------------
 // Shard + snapshot.
 
-/// Point-in-time copy of a whole shard. merge() is bit-identical under any
-/// grouping (all integral state).
+/// Point-in-time copy of a whole shard.
 struct MetricsSnapshot {
   std::array<HistogramSnapshot, kHistCount> histograms{};
   std::array<std::int64_t, kGaugeCount> gauges{};
-  std::array<std::uint64_t, kCounterCount> counters{};
-
-  void merge(const MetricsSnapshot& other);  ///< gauges take other's values
+  instrument::Snapshot counters;
 
   const HistogramSnapshot& hist(Hist h) const {
     return histograms[static_cast<std::size_t>(h)];
@@ -196,38 +171,61 @@ struct MetricsSnapshot {
   std::int64_t gauge(Gauge g) const {
     return gauges[static_cast<std::size_t>(g)];
   }
-  std::uint64_t counter(Counter c) const {
-    return counters[static_cast<std::size_t>(c)];
-  }
 
   /// Flat JSON object: histograms (count/sum_nanos/p50/p95/p99 + non-empty
   /// bucket arrays), gauges, counters. Deterministic field order.
   std::string json() const;
 };
 
-/// One independent registry of every metric. The process-wide registry is
-/// one of these; each service session (§S22) owns another, billed in
-/// addition to the global one by observe()/count() performed under its task
-/// context.
+/// One independent registry of every metric and counter. The process-wide
+/// registry is one of these; each service session (§S22) owns another,
+/// billed in addition to the global one by everything performed under its
+/// task context.
 struct MetricShard {
   std::array<Histogram, kHistCount> histograms;
   std::array<std::atomic<std::int64_t>, kGaugeCount> gauges{};
-  std::array<std::atomic<std::uint64_t>, kCounterCount> counters{};
+  std::array<std::atomic<std::uint64_t>, instrument::kCounterCount> counters{};
+
+  std::atomic<std::uint64_t>& counter(instrument::Counter c) {
+    return counters[static_cast<std::size_t>(c)];
+  }
+  const std::atomic<std::uint64_t>& counter(instrument::Counter c) const {
+    return counters[static_cast<std::size_t>(c)];
+  }
+  /// Counters only (relaxed loads), without touching the histograms.
+  instrument::Snapshot counter_snapshot() const;
+  /// Race-clean counter drain (exchange-based, see
+  /// instrument::snapshot_and_reset()).
+  instrument::Snapshot drain_counters();
 
   MetricsSnapshot snapshot() const;
-  void reset();
 };
 
 /// The process-wide registry.
 MetricShard& global_shard();
 
+/// The shard of the TaskContext installed on the calling thread, nullptr
+/// when none is.
+inline MetricShard* task_shard() {
+  const TaskContext* ctx = current_task_context();
+  return ctx != nullptr ? ctx->telemetry : nullptr;
+}
+
+/// The one billing path: apply `f` to the process-wide shard and, when the
+/// calling thread runs under a task context with a shard, to that shard
+/// too. The thread-local read costs ~the same as a relaxed add.
+template <class F>
+void bill(F&& f) {
+  f(global_shard());
+  if (MetricShard* shard = task_shard()) f(*shard);
+}
+
 // ---------------------------------------------------------------------------
-// Billing entry points (global + current TaskContext shard, like
-// instrument::bump). These are NOT level-gated — gate at the call site with
+// Entry points. observe() is NOT level-gated — gate at the call site with
 // enabled()/ScopedLatency so the disabled cost stays one load + one branch.
+// Counters are billed with instrument::add().
 
 void observe(Hist h, double seconds);
-void count(Counter c, std::uint64_t n = 1);
 void gauge_set(Gauge g, std::int64_t value);
 void gauge_add(Gauge g, std::int64_t delta);
 
@@ -262,11 +260,10 @@ double sample_quantile(std::vector<double> values, double q);
 std::string manifest_labels();
 
 /// Render a full exposition page: every histogram as cumulative
-/// `_bucket{le=...}` series + `_sum`/`_count`, gauges, metric counters and
-/// every instrument counter as `lcn_<name>_total`. `labels` is the inner
-/// label list applied to all series ("" for none).
+/// `_bucket{le=...}` series + `_sum`/`_count`, gauges, and every counter as
+/// `lcn_<name>_total`, each family with `# HELP` and `# TYPE`. `labels` is
+/// the inner label list applied to all series ("" for none).
 std::string prometheus_text(const MetricsSnapshot& metrics,
-                            const instrument::Snapshot& counters,
                             const std::string& labels);
 
 }  // namespace lcn::metrics

@@ -1,9 +1,10 @@
 // Per-task execution context propagated across pool threads (DESIGN.md §S22).
 //
 // One process now serves many concurrent jobs (src/service), so the state
-// that used to be implicitly process-wide — instrument counters, the
-// flow-plan cache, cooperative cancellation, the job's share of the thread
-// pool, progress streaming — travels with the *task* instead. A TaskContext
+// that used to be implicitly process-wide — the telemetry shard (counters
+// and histograms), the flow-plan cache, cooperative cancellation, the job's
+// share of the thread pool, progress streaming — travels with the *task*
+// instead. A TaskContext
 // is installed on the submitting thread (ScopedTaskContext) and
 // ThreadPool::parallel_for re-installs it on every worker that drains the
 // task's shards, so a kernel deep inside an SA neighbor evaluation bills its
@@ -23,10 +24,6 @@
 namespace lcn {
 
 class FlowPlanCache;  // flow/flow_plan.hpp (common cannot include flow)
-
-namespace instrument {
-struct CounterShard;  // common/instrument.hpp
-}
 
 namespace metrics {
 struct MetricShard;  // common/metrics.hpp
@@ -56,12 +53,10 @@ class Cancelled : public std::runtime_error {
 };
 
 struct TaskContext {
-  /// Session counter shard; add_* in common/instrument bills both this shard
-  /// and the process-wide counters when set.
-  instrument::CounterShard* counters = nullptr;
-  /// Session metrics shard (§S24); metrics::observe()/count() bill both this
-  /// shard and the process-wide registry when set.
-  metrics::MetricShard* metrics = nullptr;
+  /// Session telemetry shard (§S24): instrument::add() and
+  /// metrics::observe() bill both this shard and the process-wide registry
+  /// when set.
+  metrics::MetricShard* telemetry = nullptr;
   /// Cooperative cancellation flag (owned by the scheduler job / the CLI's
   /// SIGINT handler). Checked at coordinator loop boundaries, never inside
   /// parallel kernels, so partial results are never observed.

@@ -160,9 +160,9 @@ void record(char ph, const char* name, const char* args) {
   event.ph = ph;
   copy_args(event.args, args);
   if (ring->push(event)) {
-    instrument::add_trace_event();
+    instrument::add(instrument::Counter::trace_events_emitted);
   } else {
-    instrument::add_trace_drop();
+    instrument::add(instrument::Counter::trace_events_dropped);
   }
 }
 

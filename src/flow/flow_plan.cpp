@@ -106,13 +106,13 @@ std::shared_ptr<const FlowPlan> FlowPlanCache::plan_for(
     if (it != entries_.end()) {
       for (const auto& [stored, plan] : it->second) {
         if (stored == net) {
-          instrument::add_flow_plan_hit();
+          instrument::add(instrument::Counter::flow_plan_hits);
           return plan;
         }
       }
     }
   }
-  instrument::add_flow_plan_miss();
+  instrument::add(instrument::Counter::flow_plan_misses);
   // Analyze outside the lock: plans for distinct networks build in parallel,
   // and a throwing analysis leaves the cache untouched.
   std::shared_ptr<const FlowPlan> plan = FlowPlan::analyze(net);

@@ -87,12 +87,12 @@ std::optional<EvalResult> EvaluatorCache::find(const EvalCacheKey& key) const {
     const auto it = map_.find(key);
     if (it != map_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      instrument::add_cache_hit();
+      instrument::add(instrument::Counter::cache_hits);
       return it->second;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  instrument::add_cache_miss();
+  instrument::add(instrument::Counter::cache_misses);
   return std::nullopt;
 }
 

@@ -201,7 +201,7 @@ EvalResult evaluate(const CoolingProblem& problem,
       }
     }
   } catch (const RuntimeError&) {
-    instrument::add_eval_failure();
+    instrument::add(instrument::Counter::eval_failures);
   }
   return EvalResult::infeasible_result();
 }

@@ -127,7 +127,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
     point.p_sys = result.p_sys;
     point.tag = tag;
     if (out.archive.insert(point) == ArchiveInsert::kInserted) {
-      instrument::add_archive_insert();
+      instrument::add(instrument::Counter::archive_inserts);
     }
   };
 
@@ -200,9 +200,9 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
 
   for (std::size_t stage_idx = 0; stage_idx < stages.size(); ++stage_idx) {
     const SaStage& stage = stages[stage_idx];
+    const StageLabels labels = stage_labels(stage);
     trace::Span stage_span("sa_stage");
     if (stage_span.active()) {
-      const StageLabels labels = stage_labels(stage);
       stage_span.set_args(strfmt(
           "\"stage\":\"%s\",\"model\":\"%s\",\"cost\":\"%s\","
           "\"rounds\":%d,\"iterations\":%d,\"neighbors\":%d",
@@ -259,7 +259,13 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
         static_cast<std::size_t>(K));
 
     for (int round = 0; round < stage.rounds; ++round) {
-      LCN_TRACE_SPAN("sa_round");
+      trace::Span round_span("sa_round");
+      if (round_span.active()) {
+        round_span.set_args(strfmt(
+            "\"stage\":\"%s\",\"round\":%d,\"model\":\"%s\",\"cost\":\"%s\"",
+            stage.name.c_str(), round, labels.model.c_str(),
+            labels.cost.c_str()));
+      }
       struct ChainRound {
         Rng round_rng;
         std::uint64_t round_key = 0;
@@ -314,9 +320,11 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
         const bool want_iter = trace::enabled() || progress != nullptr;
         // Progress-stream bookkeeping: pressure probes consumed by this
         // iteration alone (single-chain records only; with K>1 islands share
-        // one pool pass, so per-island attribution would be fiction).
+        // one pool pass, so per-island attribution would be fiction). Read
+        // from the job's own shard, so concurrent tenants never leak in.
+        constexpr auto kProbes = instrument::Counter::pressure_probes;
         const std::uint64_t probes_before =
-            want_iter && K == 1 ? instrument::snapshot().pressure_probes : 0;
+            want_iter && K == 1 ? instrument::task_count(kProbes) : 0;
 
         // Generate and score every island's neighbor pool in one parallel
         // pass (the paper scores 64 neighbors at once on an 80-core server;
@@ -388,7 +396,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
               const double hit_rate =
                   lookups > 0.0 ? static_cast<double>(hits) / lookups : 0.0;
               const std::uint64_t probes =
-                  instrument::snapshot().pressure_probes - probes_before;
+                  instrument::task_count(kProbes) - probes_before;
               args = strfmt(
                   "\"stage\":\"%s\",\"round\":%d,\"iter\":%d,"
                   "\"temperature\":%.6g,\"current\":%.9g,"
@@ -440,7 +448,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
             if (accept) {
               std::swap(lo.temperature, hi.temperature);
               ++out.pt_swaps;
-              instrument::add_pt_swap();
+              instrument::add(instrument::Counter::pt_swaps);
             }
             out.events.push_back({CommEvent::Kind::kPtSwap,
                                   static_cast<int>(stage_idx), round, iter, j,
@@ -469,7 +477,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
                 cr.best = {cr.state, cr.state_score};
               }
               ++out.migrations;
-              instrument::add_island_migration();
+              instrument::add(instrument::Counter::island_migrations);
             }
             out.events.push_back({CommEvent::Kind::kMigration,
                                   static_cast<int>(stage_idx), round, iter,

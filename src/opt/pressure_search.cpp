@@ -17,7 +17,7 @@ class CountingProbe {
 
   double operator()(double p) {
     ++count_;
-    instrument::add_pressure_probe();
+    instrument::add(instrument::Counter::pressure_probes);
     // Soft budget: Algorithm 3 terminates by interval width; the budget is a
     // backstop against pathological probes (e.g. noisy f).
     LCN_CHECK(count_ <= 4 * budget_, "pressure search probe budget exhausted");

@@ -36,14 +36,14 @@ EvalResult robust_evaluate(const CoolingProblem& nominal,
   for (const FaultScenario& scenario : sample.scenarios()) {
     const DegradedSystem degraded =
         apply_scenario(nominal, network, scenario);
-    instrument::add_scenario_evaluated();
+    instrument::add(instrument::Counter::scenarios_evaluated);
     EvalResult result = evaluate(degraded.problem, degraded.network, limits,
                                  mode, sim, search);
     // A droop caps the pressure the search may assume: scale the found
     // operating point back to the commanded frame so scores stay in
     // commanded-pressure units across scenarios.
     if (!result.feasible) {
-      instrument::add_scenario_infeasible();
+      instrument::add(instrument::Counter::scenarios_infeasible);
       return EvalResult::infeasible_result();
     }
     if (degraded.pressure_derate != 1.0) {

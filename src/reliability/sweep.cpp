@@ -61,9 +61,9 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
     out.dt_margin = limits.delta_t_max - out.at_p.delta_t;
     out.feasible = out.t_margin >= 0.0 && out.dt_margin >= 0.0;
     if (!out.feasible) {
-      instrument::add_scenario_infeasible();
+      instrument::add(instrument::Counter::scenarios_infeasible);
       if (options.plan_recovery) {
-        instrument::add_recovery_search();
+        instrument::add(instrument::Counter::recovery_searches);
         // Algorithm 2 on the degraded system: the smallest *delivered*
         // pressure meeting both limits; the pump must command it through
         // the droop.
@@ -83,10 +83,10 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
     // liquid component cut off from its ports, ...): no pump command can
     // help, so the scenario is unrecoverable by construction.
     out.evaluated = false;
-    instrument::add_scenario_infeasible();
+    instrument::add(instrument::Counter::scenarios_infeasible);
     out.recovery = RecoveryKind::kUnrecoverable;
   }
-  instrument::add_scenario_evaluated();
+  instrument::add(instrument::Counter::scenarios_evaluated);
   return out;
 }
 

@@ -362,7 +362,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
       temps.assign(system.matrix.rows(), boundary.inlet_temperature);
     }
     stepper->step(temps, config.rel_tolerance);
-    instrument::add_scenario_step();
+    instrument::add(instrument::Counter::scenario_steps);
 
     ScenarioSample sample;
     sample.step = step;

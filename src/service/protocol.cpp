@@ -190,10 +190,9 @@ std::string result_json(std::uint64_t id, const JobResult& result) {
   return out;
 }
 
-std::string metrics_json(const metrics::MetricsSnapshot& metrics,
-                         const instrument::Snapshot& counters) {
+std::string metrics_json(const metrics::MetricsSnapshot& metrics) {
   std::string out = "{\"ok\":true,\"metrics\":" + metrics.json();
-  out += ",\"counters\":" + counters.json();
+  out += ",\"counters\":" + metrics.counters.json();
   out += ",\"manifest\":" + run_manifest().json();
   out += '}';
   return out;

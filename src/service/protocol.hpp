@@ -61,10 +61,10 @@ std::string job_list_json(const std::vector<Scheduler::JobInfo>& jobs);
 std::string event_json(const char* name, std::uint64_t job_id,
                        const char* args);
 
-/// {"ok":true,"metrics":{...},"counters":{...},"manifest":{...}} — the
-/// process-wide metrics registry (§S24), instrument counters and run
-/// manifest as one snapshot line for the `metrics` op.
-std::string metrics_json(const metrics::MetricsSnapshot& metrics,
-                         const instrument::Snapshot& counters);
+/// {"ok":true,"metrics":{...},"counters":{...},"manifest":{...}} — one
+/// snapshot of the process-wide telemetry registry (§S24) and the run
+/// manifest for the `metrics` op. The top-level "counters" repeats
+/// metrics.counters for clients that read counters there.
+std::string metrics_json(const metrics::MetricsSnapshot& metrics);
 
 }  // namespace lcn::service

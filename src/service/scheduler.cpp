@@ -148,7 +148,7 @@ Scheduler::~Scheduler() {
 std::uint64_t Scheduler::submit(JobRequest request, ProgressSink* sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!accepting_) {
-    metrics::count(metrics::Counter::jobs_rejected);
+    instrument::add(instrument::Counter::jobs_rejected);
     return 0;
   }
   const std::uint64_t id = next_id_++;
@@ -373,7 +373,7 @@ void Scheduler::watchdog_loop() {
       if (now >= job->deadline) {
         job->deadline_hit = true;
         job->session->request_cancel();
-        metrics::count(metrics::Counter::deadline_misses);
+        instrument::add(instrument::Counter::deadline_misses);
       }
     }
   }
@@ -502,11 +502,9 @@ void Scheduler::execute(Job& job) {
     error = "unknown error";
   }
 
-  if (final_status == JobStatus::kCancelled) {
-    instrument::add_job_cancelled();
-  } else {
-    instrument::add_job_completed();
-  }
+  instrument::add(final_status == JobStatus::kCancelled
+                      ? instrument::Counter::jobs_cancelled
+                      : instrument::Counter::jobs_completed);
 
   local.seconds = timer.seconds();
   // Billed under the session scope, so the job's own shard carries its
@@ -515,11 +513,11 @@ void Scheduler::execute(Job& job) {
     metrics::observe(job_latency_hist(job.request.kind), local.seconds);
   }
   if (slo_seconds_ > 0.0 && local.seconds > slo_seconds_) {
-    metrics::count(metrics::Counter::slo_breaches);
+    instrument::add(instrument::Counter::slo_breaches);
   }
   local.error = error;
-  local.counters = session.counters().snapshot();
-  local.metrics = session.metrics().snapshot();
+  local.metrics = session.telemetry().snapshot();
+  local.counters = local.metrics.counters;
   local.manifest = session.manifest_json();
   local.status = final_status;
 

@@ -377,10 +377,9 @@ bool Server::handle_line(const std::shared_ptr<Connection>& conn,
     const std::size_t space = path.find(' ');
     if (space != std::string::npos) path.resize(space);
     if (path == "/metrics") {
-      metrics::count(metrics::Counter::metrics_scrapes);
+      instrument::add(instrument::Counter::metrics_scrapes);
       const std::string body = metrics::prometheus_text(
-          metrics::global_shard().snapshot(), instrument::snapshot(),
-          metrics::manifest_labels());
+          metrics::global_shard().snapshot(), metrics::manifest_labels());
       conn->write_raw(http_response(
           200, "OK", "text/plain; version=0.0.4; charset=utf-8", body));
     } else {
@@ -443,9 +442,8 @@ bool Server::handle_line(const std::shared_ptr<Connection>& conn,
       conn->write_line("{\"ok\":true}");
       return true;
     case Request::Op::kMetrics:
-      metrics::count(metrics::Counter::metrics_scrapes);
-      conn->write_line(metrics_json(metrics::global_shard().snapshot(),
-                                    instrument::snapshot()));
+      instrument::add(instrument::Counter::metrics_scrapes);
+      conn->write_line(metrics_json(metrics::global_shard().snapshot()));
       return true;
     case Request::Op::kShutdown:
       conn->write_line("{\"ok\":true,\"draining\":true}");

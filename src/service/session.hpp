@@ -1,7 +1,7 @@
 // Per-session state isolation (DESIGN.md §S22, layer 1 of the serving stack).
 //
 // A SessionContext bundles every piece of formerly process-wide mutable state
-// one job needs: a counter shard, an optional private flow-plan cache, the
+// one job needs: a telemetry shard, an optional private flow-plan cache, the
 // cooperative cancellation flag, the job's fair share of the pool, and the
 // progress sink streaming sa_iter events back to the submitting client. The
 // scheduler installs the session's TaskContext on the runner thread for the
@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/task_context.hpp"
 #include "flow/flow_plan.hpp"
@@ -46,8 +45,8 @@ class SessionContext {
   std::uint64_t id() const { return id_; }
   const SessionConfig& config() const { return config_; }
 
-  instrument::CounterShard& counters() { return counters_; }
-  metrics::MetricShard& metrics() { return metrics_; }
+  /// The session's counters and histograms (one shard, §S24).
+  metrics::MetricShard& telemetry() { return telemetry_; }
   /// The session's private flow-plan shard, nullptr when it shares the
   /// process-wide cache.
   FlowPlanCache* flow_plans() { return flow_plans_.get(); }
@@ -81,8 +80,7 @@ class SessionContext {
  private:
   std::uint64_t id_;
   SessionConfig config_;
-  instrument::CounterShard counters_;
-  metrics::MetricShard metrics_;
+  metrics::MetricShard telemetry_;
   std::unique_ptr<FlowPlanCache> flow_plans_;
   std::atomic<bool> cancel_{false};
   std::atomic<std::size_t> pool_share_{0};

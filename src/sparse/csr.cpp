@@ -59,7 +59,8 @@ void CsrMatrix::multiply_serial(const Vector& x, Vector& y) const {
 void CsrMatrix::multiply(const Vector& x, Vector& y) const {
   const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
                                        metrics::kFine);
-  instrument::add_spmv(nnz());
+  instrument::add(instrument::Counter::spmv_count);
+  instrument::add(instrument::Counter::spmv_nnz, nnz());
   if (!parallel_kernels_enabled(nnz(), kSpmvGrain)) {
     multiply_serial(x, y);
     return;

@@ -19,7 +19,8 @@ struct IterationRecorder {
   metrics::ScopedLatency latency{metrics::Hist::gmres_seconds};
   const SolveReport& report;
   ~IterationRecorder() {
-    instrument::add_gmres(report.iterations);
+    instrument::add(instrument::Counter::gmres_solves);
+    instrument::add(instrument::Counter::gmres_iterations, report.iterations);
     if (span.active()) {
       span.set_args(strfmt("\"iters\":%zu,\"rel\":%.3e,\"converged\":%s",
                            report.iterations, report.relative_residual,
@@ -185,7 +186,7 @@ SolveReport gmres_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveReport gmres_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                         const Preconditioner& m, SolverWorkspace& ws,
                         const GmresOptions& options) {
-  instrument::add_workspace_reuse();
+  instrument::add(instrument::Counter::workspace_reuses);
   return gmres_impl(a, b, x, m, options, ws);
 }
 

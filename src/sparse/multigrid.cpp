@@ -281,7 +281,7 @@ void MultigridPreconditioner::refill(const CsrMatrix& a) {
 }
 
 void MultigridPreconditioner::coarse_solve(const Vector& rhs, Vector& x) const {
-  instrument::add_mg_coarse_solve();
+  instrument::add(instrument::Counter::mg_coarse_solves);
   if (coarse_lu_.has_value()) {
     x = coarse_lu_->solve(rhs);
     return;
@@ -325,7 +325,7 @@ void MultigridPreconditioner::apply(const Vector& r, Vector& z) const {
   LCN_TRACE_SPAN_FINE("mg_vcycle");
   const metrics::ScopedLatency latency(metrics::Hist::mg_vcycle_seconds,
                                        metrics::kFine);
-  instrument::add_mg_vcycle();
+  instrument::add(instrument::Counter::mg_vcycles);
   vcycle(0, r, z);
 }
 

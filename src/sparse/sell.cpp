@@ -145,7 +145,8 @@ void SellMatrix::multiply(const Vector& x, Vector& y) const {
   LCN_TRACE_SPAN_FINE("sell_spmv");
   const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
                                        metrics::kFine);
-  instrument::add_spmv(nnz_);
+  instrument::add(instrument::Counter::spmv_count);
+  instrument::add(instrument::Counter::spmv_nnz, nnz_);
   y.resize(rows_);
   const std::size_t chunks = chunk_len_.size();
   if (!parallel_kernels_enabled(nnz_, kSpmvGrain) || chunks < 2) {

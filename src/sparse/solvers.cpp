@@ -29,21 +29,27 @@ GmresOptions gmres_options(const SolveOptions& opts) {
   return gmres;
 }
 
-// Records the final iteration count and solve latency on every exit path of
-// a solver, plus a fine-level trace span carrying the outcome. The span
-// member is declared first so its end event is emitted after
+// Bills the solve, its final iteration count and its latency on every exit
+// path of a solver, plus a fine-level trace span carrying the outcome. The
+// span member is declared first so its end event is emitted after
 // ~IterationRecorder has attached the args (members destroy in reverse
 // order).
 struct IterationRecorder {
   trace::Span span;
   metrics::ScopedLatency latency;
   const SolveReport& report;
-  void (*record)(std::uint64_t);
-  IterationRecorder(const char* name, metrics::Hist hist,
-                    const SolveReport& r, void (*rec)(std::uint64_t))
-      : span(name, trace::kFine), latency(hist), report(r), record(rec) {}
+  instrument::Counter solves;
+  instrument::Counter iterations;
+  IterationRecorder(const char* name, metrics::Hist hist, const SolveReport& r,
+                    instrument::Counter solves, instrument::Counter iterations)
+      : span(name, trace::kFine),
+        latency(hist),
+        report(r),
+        solves(solves),
+        iterations(iterations) {}
   ~IterationRecorder() {
-    record(report.iterations);
+    instrument::add(solves);
+    instrument::add(iterations, report.iterations);
     if (span.active()) {
       span.set_args(strfmt("\"iters\":%zu,\"rel\":%.3e,\"converged\":%s",
                            report.iterations, report.relative_residual,
@@ -76,7 +82,8 @@ SolveReport cg_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   const double bnorm = norm2(b);
   SolveReport report;
   const IterationRecorder recorder("cg_solve", metrics::Hist::cg_seconds,
-                                   report, &instrument::add_cg);
+                                   report, instrument::Counter::cg_solves,
+                                   instrument::Counter::cg_iterations);
   const bool recording = opts.record_residuals;
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
@@ -145,7 +152,8 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   SolveReport report;
   const IterationRecorder recorder("bicgstab_solve",
                                    metrics::Hist::bicgstab_seconds, report,
-                                   &instrument::add_bicgstab);
+                                   instrument::Counter::bicgstab_solves,
+                                   instrument::Counter::bicgstab_iterations);
   const bool recording = opts.record_residuals;
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
@@ -249,7 +257,7 @@ SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                      const Preconditioner& m, SolverWorkspace& ws,
                      const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
+  instrument::add(instrument::Counter::workspace_reuses);
   return cg_impl(a, b, x, m, opts, ws);
 }
 
@@ -262,7 +270,7 @@ SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                            const Preconditioner& m, SolverWorkspace& ws,
                            const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
+  instrument::add(instrument::Counter::workspace_reuses);
   return bicgstab_impl(a, b, x, m, opts, ws);
 }
 
@@ -293,7 +301,7 @@ void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
 void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                             const std::string& context, const Preconditioner& m,
                             SolverWorkspace& ws, const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
+  instrument::add(instrument::Counter::workspace_reuses);
   SolveReport report = bicgstab_impl(a, b, x, m, opts, ws);
   if (!report.converged) {
     // One retry from scratch with a fresh zero guess and more iterations —

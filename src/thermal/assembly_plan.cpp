@@ -1,5 +1,7 @@
 #include "thermal/assembly_plan.hpp"
 
+#include <cmath>
+
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
 #include "common/timer.hpp"
@@ -111,8 +113,10 @@ AssembledThermal ThermalAssemblyPlan::assemble(
     return 0.0;  // unreachable
   });
 
-  instrument::add_assembly_refill();
-  instrument::add_assembly(timer.seconds());
+  instrument::add(instrument::Counter::assemblies_refill);
+  instrument::add(instrument::Counter::assemblies);
+  instrument::add(instrument::Counter::assembly_micros,
+                  std::llround(timer.seconds() * 1e6));
   return out;
 }
 
@@ -123,7 +127,7 @@ void ThermalAssemblyPlan::refill_rhs(double p_sys,
   LCN_REQUIRE(io.matrix.rows() == n, "refill_rhs: system/plan size mismatch");
   replay_rhs(p_sys, boundary, io.rhs);
   io.inlet_temperature = boundary.inlet_temperature;
-  instrument::add_rhs_refill();
+  instrument::add(instrument::Counter::rhs_refills);
 }
 
 }  // namespace lcn

@@ -127,10 +127,9 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
   ws.factor(system.matrix, system.mg_hint.get(), cfg.precon);
   ws.solve(system.matrix, system.rhs, temps, "steady thermal solve",
            rel_tolerance);
-  const double seconds = timer.seconds();
-  instrument::add_steady_solve(seconds);
+  instrument::add(instrument::Counter::steady_solves);
   if (metrics::enabled()) {
-    metrics::observe(metrics::Hist::solve_steady_seconds, seconds);
+    metrics::observe(metrics::Hist::solve_steady_seconds, timer.seconds());
   }
   return make_field(system, std::move(temps));
 }

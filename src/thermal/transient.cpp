@@ -75,9 +75,9 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
       }
     }
     plan_ = sparse::SparsityPlan::analyze(n, n, pattern);
-    instrument::add_transient_rebuild();
+    instrument::add(instrument::Counter::transient_rebuilds);
   } else {
-    instrument::add_transient_refill();
+    instrument::add(instrument::Counter::transient_refills);
   }
   last_rebind_refilled_ = same_structure;
 
@@ -115,7 +115,7 @@ void TransientStepper::step(std::vector<double>& temps,
   }
 
   workspace_.solve(lhs_, rhs_, temps, "transient step", rel_tolerance);
-  instrument::add_transient_step();
+  instrument::add(instrument::Counter::transient_steps);
 }
 
 std::vector<TransientSample> simulate_transient(

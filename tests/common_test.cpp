@@ -158,7 +158,9 @@ TEST(Instrument, SnapshotAndResetDrainsEveryCountExactlyOnce) {
   instrument::reset();  // clear residue from earlier tests
   constexpr int kAdds = 200000;
   std::thread writer([] {
-    for (int i = 0; i < kAdds; ++i) instrument::add_cache_hit();
+    for (int i = 0; i < kAdds; ++i) {
+      instrument::add(instrument::Counter::cache_hits);
+    }
   });
   std::uint64_t drained = 0;
   for (int i = 0; i < 1000; ++i) {

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -165,11 +166,11 @@ TEST_P(MetricsThreads, ShardMatchesSoloAtAnyThreadCount) {
       metrics::global_shard().snapshot();
   {
     TaskContext ctx;
-    ctx.metrics = &shard;
+    ctx.telemetry = &shard;
     ScopedTaskContext scope(&ctx);
     global_pool().parallel_for(kObservations, [](std::size_t i) {
       metrics::observe(metrics::Hist::cache_lookup_seconds, observation(i));
-      if (i % 7 == 0) metrics::count(metrics::Counter::slo_breaches);
+      if (i % 7 == 0) instrument::add(instrument::Counter::slo_breaches);
     });
   }
 
@@ -180,7 +181,7 @@ TEST_P(MetricsThreads, ShardMatchesSoloAtAnyThreadCount) {
   EXPECT_EQ(hist.count, kObservations);
   EXPECT_EQ(hist.buckets, expected.buckets);
   EXPECT_EQ(hist.sum_nanos, expected.sum_nanos);
-  EXPECT_EQ(got.counter(metrics::Counter::slo_breaches), solo_count);
+  EXPECT_EQ(got.counters.slo_breaches, solo_count);
 
   // The global registry was billed the same delta.
   const metrics::MetricsSnapshot global_after =
@@ -198,7 +199,7 @@ TEST(MetricsLevel, ScopedLatencyRespectsLevelGating) {
   const LevelGuard guard;
   metrics::MetricShard shard;
   TaskContext ctx;
-  ctx.metrics = &shard;
+  ctx.telemetry = &shard;
   ScopedTaskContext scope(&ctx);
 
   metrics::set_level(0);
@@ -225,9 +226,7 @@ TEST(MetricsSnapshotJson, CarriesHistogramsGaugesCounters) {
                        metrics::Hist::solve_steady_seconds)]
       .observe(3e-6);
   shard.gauges[static_cast<std::size_t>(metrics::Gauge::queue_depth)].store(5);
-  shard.counters[static_cast<std::size_t>(
-                     metrics::Counter::deadline_misses)]
-      .store(2);
+  shard.counter(instrument::Counter::deadline_misses).store(2);
   const std::string json = shard.snapshot().json();
   EXPECT_NE(json.find("\"solve_steady_seconds\":{\"count\":1"),
             std::string::npos)
@@ -248,11 +247,10 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
   hist.observe(3e-6);
   shard.gauges[static_cast<std::size_t>(metrics::Gauge::running_jobs)]
       .store(3);
-  shard.counters[static_cast<std::size_t>(metrics::Counter::slo_breaches)]
-      .store(7);
+  shard.counter(instrument::Counter::slo_breaches).store(7);
 
-  const std::string text = metrics::prometheus_text(
-      shard.snapshot(), instrument::snapshot(), "foo=\"bar\"");
+  const std::string text =
+      metrics::prometheus_text(shard.snapshot(), "foo=\"bar\"");
 
   const char* const expected[] = {
       "# HELP lcn_solve_steady_seconds Steady-state thermal solve wall time\n",
@@ -274,13 +272,73 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
     EXPECT_NE(text.find(line), std::string::npos) << "missing: " << line;
   }
   // An empty label set must not leave dangling braces.
-  const std::string bare = metrics::prometheus_text(
-      shard.snapshot(), instrument::snapshot(), "");
+  const std::string bare = metrics::prometheus_text(shard.snapshot(), "");
   EXPECT_NE(bare.find("lcn_solve_steady_seconds_bucket{le=\"1e-06\"} 2\n"),
             std::string::npos);
   EXPECT_NE(bare.find("lcn_solve_steady_seconds_count 3\n"),
             std::string::npos);
   EXPECT_EQ(bare.find("{}"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The one counter list: every entry is rendered, diffed, drained and sharded.
+
+struct RegistryEntry {
+  instrument::Counter counter;
+  const char* name;
+  std::uint64_t instrument::Snapshot::*field;
+};
+
+#define LCN_TEST_REGISTRY_ENTRY(name, help) \
+  {instrument::Counter::name, #name, &instrument::Snapshot::name},
+constexpr RegistryEntry kRegistry[] = {
+    LCN_INSTRUMENT_COUNTERS(LCN_TEST_REGISTRY_ENTRY)};
+#undef LCN_TEST_REGISTRY_ENTRY
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(CounterRegistry, EveryCounterIsRenderedDiffedDrainedAndSharded) {
+  ASSERT_EQ(std::size(kRegistry), instrument::kCounterCount);
+  const std::string json = instrument::Snapshot{}.json();
+  const std::string prom =
+      metrics::prometheus_text(metrics::MetricShard{}.snapshot(), "");
+  for (const RegistryEntry& e : kRegistry) {
+    SCOPED_TRACE(e.name);
+    const std::string family = std::string("lcn_") + e.name + "_total";
+    EXPECT_EQ(occurrences(json, "\"" + std::string(e.name) + "\":"), 1u);
+    EXPECT_EQ(occurrences(prom, "# HELP " + family + " "), 1u);
+    EXPECT_EQ(occurrences(prom, "# TYPE " + family + " counter\n"), 1u);
+    EXPECT_EQ(occurrences(prom, "\n" + family + " 0\n"), 1u);
+
+    instrument::Snapshot before;
+    instrument::Snapshot after;
+    before.*e.field = 4;
+    after.*e.field = 11;
+    EXPECT_EQ(instrument::delta(before, after).*e.field, 7u);
+
+    // A bump under a TaskContext lands in the global totals and the shard.
+    (void)instrument::snapshot_and_reset();
+    metrics::MetricShard shard;
+    TaskContext ctx;
+    ctx.telemetry = &shard;
+    {
+      ScopedTaskContext scope(&ctx);
+      instrument::add(e.counter, 3);
+      EXPECT_EQ(instrument::task_count(e.counter), 3u);
+    }
+    EXPECT_EQ(shard.snapshot().counters.*e.field, 3u);
+    EXPECT_EQ(instrument::snapshot_and_reset().*e.field, 3u);
+    EXPECT_EQ(instrument::snapshot().*e.field, 0u);
+    EXPECT_EQ(shard.drain_counters().*e.field, 3u);
+    EXPECT_EQ(shard.counter_snapshot().*e.field, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Multi-tenant serving suite (DESIGN.md §S22): concurrent jobs through the
 // fair-share scheduler are bit-identical to solo runs at any pool width,
-// per-session counter shards and manifests are isolated, cancellation and
+// per-session telemetry shards and manifests are isolated, cancellation and
 // deadlines unwind cleanly while the scheduler keeps serving, and the wire
 // protocol round-trips.
 #include <gtest/gtest.h>
@@ -256,7 +256,6 @@ TEST(ServiceIsolation, ConcurrentShardEqualsSoloShardSerially) {
   set_global_pool_threads(1);
   auto shard_print = [](instrument::Snapshot s) {
     s.assembly_micros = 0;
-    s.solve_micros = 0;
     return s.json();
   };
 
@@ -457,6 +456,56 @@ TEST(ServiceProgress, SaIterEventsStreamToTheSessionSink) {
   }
   // Two stages x 3 iterations of the short schedule.
   EXPECT_EQ(sa_iters, 6u);
+}
+
+/// The "probes" arg of every sa_iter event a sink received, in order.
+std::vector<std::string> streamed_probes(RecordingSink& sink) {
+  std::lock_guard<std::mutex> lock(sink.mutex);
+  std::vector<std::string> probes;
+  for (const auto& [name, args] : sink.events) {
+    if (name != "sa_iter") continue;
+    const std::size_t at = args.find("\"probes\":");
+    EXPECT_NE(at, std::string::npos) << args;
+    if (at == std::string::npos) continue;
+    const std::size_t end = args.find_first_of(",}", at);
+    probes.push_back(args.substr(at, end - at));
+  }
+  return probes;
+}
+
+TEST(ServiceProgress, StreamedProbesIgnoreConcurrentTenants) {
+  // Per-iteration pressure probes are read from the job's own shard, so a
+  // streamed job reports the same sequence beside two busy design jobs as it
+  // does alone.
+  std::vector<std::string> solo;
+  {
+    Scheduler scheduler(Scheduler::Options{3});
+    RecordingSink sink;
+    const JobResult result =
+        scheduler.wait(scheduler.submit(design_request(11), &sink));
+    ASSERT_EQ(result.status, JobStatus::kDone) << result.error;
+    solo = streamed_probes(sink);
+  }
+  ASSERT_EQ(solo.size(), 6u);
+
+  // Full-evaluation neighbours, so the tenants probe pressures throughout.
+  const std::vector<SaStage> busy = {
+      {"busy", 5000, 1, 2, 4, fast_sim(), false, 1}};
+  Scheduler scheduler(Scheduler::Options{3});
+  std::vector<std::uint64_t> background;
+  for (const std::uint64_t seed : {5u, 6u}) {
+    background.push_back(scheduler.submit(design_request(seed, busy)));
+    wait_until_running(scheduler, background.back());
+  }
+  RecordingSink sink;
+  const JobResult result =
+      scheduler.wait(scheduler.submit(design_request(11), &sink));
+  ASSERT_EQ(result.status, JobStatus::kDone) << result.error;
+  for (const std::uint64_t id : background) {
+    scheduler.cancel(id);
+    scheduler.wait(id);
+  }
+  EXPECT_EQ(streamed_probes(sink), solo);
 }
 
 TEST(ServiceProgress, ScenarioJobStreamsPerStepSamples) {

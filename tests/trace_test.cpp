@@ -253,12 +253,14 @@ TEST_F(TraceTest, SaStageSpansCarryModelAndCost) {
   trace::stop();
 
   std::map<std::string, std::string> stage_args;
+  std::map<std::string, std::vector<std::string>> round_args;
   for (const std::string& line : read_lines(path_)) {
-    if (extract_string(line, "name") != "sa_stage" ||
-        extract_string(line, "ph") != "E") {
-      continue;
+    if (extract_string(line, "ph") != "E") continue;
+    const std::string name = extract_string(line, "name");
+    if (name == "sa_stage") stage_args[extract_string(line, "stage")] = line;
+    if (name == "sa_round") {
+      round_args[extract_string(line, "stage")].push_back(line);
     }
-    stage_args[extract_string(line, "stage")] = line;
   }
   ASSERT_EQ(stage_args.size(), stages.size());
   for (const SaStage& stage : stages) {
@@ -270,6 +272,15 @@ TEST_F(TraceTest, SaStageSpansCarryModelAndCost) {
     const StageLabels labels = stage_labels(stage);
     EXPECT_EQ(labels.model, model);
     EXPECT_EQ(labels.cost, cost);
+    // Every sa_round span of the stage carries the same labels and its
+    // round index, in order.
+    const std::vector<std::string>& rounds = round_args[stage.name];
+    ASSERT_EQ(rounds.size(), static_cast<std::size_t>(stage.rounds));
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      EXPECT_EQ(extract_string(rounds[r], "model"), model) << rounds[r];
+      EXPECT_EQ(extract_string(rounds[r], "cost"), cost) << rounds[r];
+      EXPECT_EQ(extract_u64(rounds[r], "round"), r) << rounds[r];
+    }
   }
 }
 
