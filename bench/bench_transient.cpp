@@ -97,10 +97,9 @@ void engine_bench(int g, const CoolingProblem& problem,
 double refill_per_step_us(int g, const CoolingProblem& problem,
                           const std::vector<CoolingNetwork>& nets, int reps,
                           bool* ok) {
-  const SteadySolverConfig solver;
   const Thermal2RM model(problem, nets, 4);
   AssembledThermal sys = model.assemble(5.0e3);
-  TransientStepper stepper(sys, 1e-3, solver);
+  TransientStepper stepper(sys, 1e-3);
   std::vector<double> temps(stepper.nodes(), 300.0);
   stepper.step(temps, 1e-9);  // warm: first solve off the clock
 
@@ -125,7 +124,6 @@ double refill_per_step_us(int g, const CoolingProblem& problem,
 /// plus a from-scratch stepper (full symbolic analysis) per step.
 double fresh_per_step_us(int g, const CoolingProblem& problem,
                          const std::vector<CoolingNetwork>& nets, int reps) {
-  const SteadySolverConfig solver;
   std::vector<Thermal2RM> virgins;
   virgins.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) virgins.emplace_back(problem, nets, 4);
@@ -136,7 +134,7 @@ double fresh_per_step_us(int g, const CoolingProblem& problem,
     const AssembledThermal sys =
         virgins[static_cast<std::size_t>(i)].assemble(
             5.0e3 + 2.0 * static_cast<double>(i));
-    TransientStepper stepper(sys, 1e-3, solver);
+    TransientStepper stepper(sys, 1e-3);
     std::vector<double> temps(stepper.nodes(), 300.0);
     stepper.step(temps, 1e-9);
   }

@@ -2,15 +2,13 @@
 # Run every bench binary in smoke mode (LCN_FAST=1) and collect the side
 # outputs — per-bench CSVs and the machine-readable perf records
 # (BENCH_parallel.json, BENCH_reliability.json, BENCH_assembly.json,
-# BENCH_multigrid.json, BENCH_transient.json, BENCH_metrics.json) — into
-# ./bench_results/.
-# Four benches self-check and exit nonzero on a regression: bench_assembly
+# BENCH_transient.json, BENCH_metrics.json) — into ./bench_results/.
+# Three benches self-check and exit nonzero on a regression: bench_assembly
 # (plan refills bit-identical to fresh assemblies, >= 2x refill probe
-# throughput), bench_multigrid (multigrid keeps >= 3x fewer Krylov
-# iterations than ILU(0)), bench_transient (the scenario engine's
-# plan-refill step stays >= 3x cheaper than a fresh symbolic rebuild) and
-# bench_metrics (an enabled histogram observation stays within a bounded
-# factor of a bare counter add).
+# throughput), bench_transient (the scenario engine's plan-refill step stays
+# >= 3x cheaper than a fresh symbolic rebuild) and bench_metrics (an enabled
+# histogram observation stays within a bounded factor of a bare counter
+# add).
 #
 # Usage: scripts/run_benches.sh [build-dir]
 #   build-dir   defaults to ./build (must already be built)

@@ -52,8 +52,7 @@ namespace lcn::instrument {
   X(recovery_searches, "Degradation-planner recovery searches")               \
   X(trace_events_emitted, "Events recorded into trace rings")                 \
   X(trace_events_dropped, "Trace events lost to ring overflow")               \
-  X(mg_vcycles, "Multigrid V-cycle applications")                             \
-  X(mg_coarse_solves, "Dense multigrid coarse-level solves")                  \
+  X(mg_vcycles, "Multigrid V-cycles; always 0, multigrid was removed")       \
   X(island_migrations, "Accepted island best-design migrations")              \
   X(pt_swaps, "Accepted parallel-tempering swaps")                            \
   X(archive_inserts, "Pareto-archive frontier entries")                       \

@@ -22,7 +22,7 @@
 //  - Level-gated sites cost one relaxed atomic load + one branch when below
 //    the configured level — no clock read, no stores. `LCN_METRICS=0`
 //    disables everything, 1 (default) enables coarse sites (per-solve and
-//    above), 2 adds fine sites (per-V-cycle, per-SpMV, per-cache-lookup).
+//    above), 2 adds fine sites (per-SpMV, per-cache-lookup).
 //  - An enabled observation is one bucket search over 38 boundaries plus
 //    two relaxed atomic adds into the calling thread's stripe (histograms
 //    are striped kStripes-ways to keep pool threads off each other's cache
@@ -58,7 +58,6 @@ namespace lcn::metrics {
   X(cg_seconds, "Conjugate-gradient solve wall time")                       \
   X(bicgstab_seconds, "BiCGSTAB solve wall time")                           \
   X(gmres_seconds, "GMRES solve wall time")                                 \
-  X(mg_vcycle_seconds, "Multigrid V-cycle application wall time")           \
   X(spmv_batch_seconds, "Sparse matrix-vector multiply wall time")          \
   X(cache_lookup_seconds, "SA evaluator cache lookup wall time")            \
   X(scenario_step_seconds, "Dynamic-scenario engine step wall time")        \

@@ -241,7 +241,6 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
   validate_config(problem, config);
   const double dt = config.dt;
   const int total_steps = scenario_step_count(config);
-  const SteadySolverConfig solver = SteadySolverConfig::from_env();
   ProgressSink* const progress = task_progress_sink();
 
   // Nominal model; rebuilt when the active structural-fault set changes.
@@ -352,7 +351,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
       if (stepper) {
         stepper->rebind(system, dt);
       } else {
-        stepper.emplace(system, dt, solver);
+        stepper.emplace(system, dt);
       }
     } else {
       plan_of(sim).refill_rhs(delivered, boundary, system);

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/strings.hpp"
 
@@ -51,7 +53,15 @@ double JsonObject::get_number(const std::string& key, double fallback) const {
 
 long JsonObject::get_int(const std::string& key, long fallback) const {
   const auto it = numbers.find(key);
-  return it != numbers.end() ? static_cast<long>(it->second) : fallback;
+  if (it == numbers.end()) return fallback;
+  // Saturate before the cast: converting a double outside long's range
+  // (e.g. 1e999 parses to inf) is undefined behaviour.
+  using Limits = std::numeric_limits<long>;
+  const double value = it->second;
+  if (std::isnan(value)) return fallback;
+  if (value >= static_cast<double>(Limits::max())) return Limits::max();
+  if (value <= static_cast<double>(Limits::min())) return Limits::min();
+  return static_cast<long>(value);
 }
 
 bool JsonObject::get_bool(const std::string& key, bool fallback) const {

@@ -33,6 +33,7 @@ struct JsonObject {
   std::string get_string(const std::string& key,
                          const std::string& fallback = "") const;
   double get_number(const std::string& key, double fallback = 0.0) const;
+  /// Truncated toward zero; values beyond long's range saturate, NaN misses.
   long get_int(const std::string& key, long fallback = 0) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

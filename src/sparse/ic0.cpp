@@ -6,20 +6,14 @@
 
 namespace lcn::sparse {
 
-Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a) { refactor(a); }
-
-void Ic0Preconditioner::refactor(const CsrMatrix& a) {
-  if (a.shared_row_ptr() != a_row_ptr_ || a.shared_col_idx() != a_col_idx_) {
-    analyze(a);
-  }
+Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a) {
+  analyze(a);
   factorize(a.values());
 }
 
 void Ic0Preconditioner::analyze(const CsrMatrix& a) {
   LCN_REQUIRE(a.rows() == a.cols(), "IC(0) needs a square matrix");
   n_ = a.rows();
-  a_row_ptr_ = a.shared_row_ptr();
-  a_col_idx_ = a.shared_col_idx();
 
   // Extract the lower-triangular pattern (including diagonal) of A and the
   // gather map from A's value array.
@@ -73,10 +67,7 @@ void Ic0Preconditioner::analyze(const CsrMatrix& a) {
 }
 
 void Ic0Preconditioner::factorize(const std::vector<double>& a_values) {
-  LCN_REQUIRE(a_values.size() == a_col_idx_->size(),
-              "IC(0): value array mismatch");
-  // Gather the lower triangle of A (bit-identical to the extraction loop a
-  // fresh construction runs — a pure per-slot copy either way).
+  // Gather the lower triangle of A.
   for (std::size_t s = 0; s < lower_src_.size(); ++s) {
     values_[s] = a_values[lower_src_[s]];
   }
@@ -110,8 +101,6 @@ void Ic0Preconditioner::factorize(const std::vector<double>& a_values) {
       diag -= values_[k] * values_[k];
     }
     if (diag <= 0.0) {
-      // Keep pos_ all -1 so a later same-structure refactor stays clean.
-      for (std::size_t k = row_begin; k < row_end; ++k) pos_[col_idx_[k]] = -1;
       throw RuntimeError("IC(0): non-positive pivot at row " +
                          std::to_string(i));
     }

@@ -3,10 +3,9 @@
 // interface used by cg_solve; typically 3-5x fewer CG iterations than
 // Jacobi on the benchmark networks.
 //
-// Split into a symbolic phase (extract the lower-triangular pattern and the
-// gather maps from A's value array and into the transposed view) and a
-// numeric phase (gather + factorize). refactor() reruns only the numeric
-// phase when the new matrix shares the previous structure (DESIGN.md §S18).
+// Construction runs a symbolic phase (extract the lower-triangular pattern
+// and the gather maps from A's value array and into the transposed view)
+// and then a numeric phase (gather + factorize).
 #pragma once
 
 #include "sparse/preconditioner.hpp"
@@ -20,13 +19,6 @@ class Ic0Preconditioner final : public Preconditioner {
   /// for IC(0); callers can fall back to Jacobi).
   explicit Ic0Preconditioner(const CsrMatrix& a);
 
-  /// Refactorize for a new matrix; skips the symbolic phase when `a` shares
-  /// the previous matrix's structure (pointer-identical shared index
-  /// arrays). Either way the factors are bit-identical to a fresh
-  /// construction from `a`. On throw the object is unusable until a
-  /// refactor()/reconstruction succeeds.
-  void refactor(const CsrMatrix& a);
-
   /// z = (L·Lᵀ)⁻¹ r via forward + backward triangular solves.
   void apply(const Vector& r, Vector& z) const override;
 
@@ -35,9 +27,6 @@ class Ic0Preconditioner final : public Preconditioner {
   void factorize(const std::vector<double>& a_values);
 
   std::size_t n_ = 0;
-  // Identity of the source matrix's structure (refactor fast-path check).
-  SharedIndexes a_row_ptr_;
-  SharedIndexes a_col_idx_;
   // Lower-triangular factor in CSR (diagonal stored explicitly, last in row).
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> col_idx_;

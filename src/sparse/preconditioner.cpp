@@ -31,16 +31,14 @@ void Ilu0Preconditioner::refactor(const CsrMatrix& a) {
 
 void Ilu0Preconditioner::analyze(const CsrMatrix& a) {
   LCN_REQUIRE(a.rows() == a.cols(), "ILU(0) needs a square matrix");
-  n_ = a.rows();
-  row_ptr_ = a.shared_row_ptr();
-  col_idx_ = a.shared_col_idx();
-  diag_.assign(n_, 0);
-  pos_.assign(n_, -1);
-
-  // Locate diagonal entries (every row must have one for ILU0).
-  const std::vector<std::size_t>& row_ptr = *row_ptr_;
-  const std::vector<std::size_t>& col_idx = *col_idx_;
-  for (std::size_t r = 0; r < n_; ++r) {
+  // Locate diagonal entries (every row must have one for ILU0). The
+  // structure is adopted only once the search succeeds, so a throw leaves
+  // the next refactor() to analyze afresh.
+  const std::size_t n = a.rows();
+  const std::vector<std::size_t>& row_ptr = a.row_ptr();
+  const std::vector<std::size_t>& col_idx = a.col_idx();
+  diag_.assign(n, 0);
+  for (std::size_t r = 0; r < n; ++r) {
     bool found = false;
     for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       if (col_idx[k] == r) {
@@ -50,10 +48,16 @@ void Ilu0Preconditioner::analyze(const CsrMatrix& a) {
       }
     }
     if (!found) {
+      row_ptr_.reset();
+      col_idx_.reset();
       throw RuntimeError("ILU(0): missing diagonal entry in row " +
                          std::to_string(r));
     }
   }
+  n_ = n;
+  row_ptr_ = a.shared_row_ptr();
+  col_idx_ = a.shared_col_idx();
+  pos_.assign(n_, -1);
 }
 
 void Ilu0Preconditioner::factorize() {

@@ -86,7 +86,6 @@ AssembledThermal ThermalAssemblyPlan::assemble(
   out.volumetric_heat = volumetric_heat;
   out.inlet_temperature = boundary.inlet_temperature;
   out.source_nodes = source_nodes;
-  out.mg_hint = mg_hint;
 
   replay_rhs(p_sys, boundary, out.rhs);
 

@@ -103,10 +103,6 @@ class ThermalAssemblyPlan {
   double inlet_temperature = 0.0;
   sparse::Vector capacitance;
   std::vector<std::vector<std::size_t>> source_nodes;
-  /// Structured-grid coordinates per node for geometric multigrid (§S20);
-  /// shared (not copied) into every assembled system. Models that cannot
-  /// provide one leave it null and multigrid coarsens algebraically.
-  std::shared_ptr<const sparse::MgGridHint> mg_hint;
 
   /// Concatenate task-local emitters in canonical order and run the symbolic
   /// analysis. Called once by the owning model after its traversal.

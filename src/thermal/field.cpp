@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
@@ -52,65 +51,27 @@ double advected_heat(const AssembledThermal& system,
   return sum;
 }
 
-SteadySolverConfig SteadySolverConfig::from_env() {
-  SteadySolverConfig cfg;
-  const std::string precon = env_string("LCN_SOLVER_PRECON", "ilu0");
-  if (precon == "mg" || precon == "multigrid") {
-    cfg.precon = Precon::kMultigrid;
-  }
-  return cfg;
-}
-
-void SteadyWorkspace::factor(const sparse::CsrMatrix& matrix,
-                             const sparse::MgGridHint* hint,
-                             SteadySolverConfig::Precon precon) {
-  const bool same_structure = matrix.shared_row_ptr() == factored_rows_ &&
-                              matrix.shared_col_idx() == factored_cols_;
-  factored_rows_ = matrix.shared_row_ptr();
-  factored_cols_ = matrix.shared_col_idx();
-  if (precon == SteadySolverConfig::Precon::kMultigrid) {
-    auto* mg = std::get_if<sparse::MultigridPreconditioner>(&precon_);
-    if (mg != nullptr && same_structure) {
-      mg->refactor(matrix);
-    } else {
-      precon_.emplace<sparse::MultigridPreconditioner>(matrix, hint);
-    }
+void SteadyWorkspace::factor(const sparse::CsrMatrix& matrix) {
+  if (precon_.has_value()) {
+    precon_->refactor(matrix);
   } else {
-    auto* ilu = std::get_if<sparse::Ilu0Preconditioner>(&precon_);
-    if (ilu != nullptr && same_structure) {
-      ilu->refactor(matrix);
-    } else {
-      precon_.emplace<sparse::Ilu0Preconditioner>(matrix);
-    }
+    precon_.emplace(matrix);
   }
 }
 
 void SteadyWorkspace::solve(const sparse::CsrMatrix& matrix,
                             const sparse::Vector& rhs, sparse::Vector& x,
                             const std::string& context, double rel_tolerance) {
-  const sparse::Preconditioner* m =
-      std::get_if<sparse::Ilu0Preconditioner>(&precon_);
-  if (m == nullptr) m = std::get_if<sparse::MultigridPreconditioner>(&precon_);
-  LCN_REQUIRE(m != nullptr, "SteadyWorkspace::solve before factor()");
+  LCN_REQUIRE(precon_.has_value(), "SteadyWorkspace::solve before factor()");
   sparse::SolveOptions opts;
   opts.rel_tolerance = rel_tolerance;
-  sparse::solve_general_or_throw(matrix, rhs, x, context, *m, krylov_, opts);
-}
-
-std::optional<SteadySolverConfig::Precon> SteadyWorkspace::precon() const {
-  if (std::holds_alternative<sparse::Ilu0Preconditioner>(precon_)) {
-    return SteadySolverConfig::Precon::kIlu0;
-  }
-  if (std::holds_alternative<sparse::MultigridPreconditioner>(precon_)) {
-    return SteadySolverConfig::Precon::kMultigrid;
-  }
-  return std::nullopt;
+  sparse::solve_general_or_throw(matrix, rhs, x, context, *precon_, krylov_,
+                                 opts);
 }
 
 ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
                           const std::vector<double>* initial_guess,
-                          SteadyWorkspace* workspace,
-                          const SteadySolverConfig* config) {
+                          SteadyWorkspace* workspace) {
   LCN_TRACE_SPAN_FINE("solve_steady");
   std::vector<double> temps;
   if (initial_guess != nullptr &&
@@ -119,12 +80,10 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
   } else {
     temps.assign(system.matrix.rows(), system.inlet_temperature);
   }
-  const SteadySolverConfig cfg =
-      config != nullptr ? *config : SteadySolverConfig::from_env();
   const WallTimer timer;
   SteadyWorkspace local;
   SteadyWorkspace& ws = workspace != nullptr ? *workspace : local;
-  ws.factor(system.matrix, system.mg_hint.get(), cfg.precon);
+  ws.factor(system.matrix);
   ws.solve(system.matrix, system.rhs, temps, "steady thermal solve",
            rel_tolerance);
   instrument::add(instrument::Counter::steady_solves);

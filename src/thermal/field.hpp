@@ -5,14 +5,11 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "sparse/csr.hpp"
-#include "sparse/multigrid.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/solvers.hpp"
 
@@ -24,12 +21,6 @@ struct AssembledThermal {
   sparse::CsrMatrix matrix;
   sparse::Vector rhs;
   sparse::Vector capacitance;  ///< J/K per node
-
-  /// Structured-grid coordinates per matrix row (layer, row, col), shared
-  /// from the assembly plan. Enables geometric multigrid coarsening; absent
-  /// (null) systems still solve — multigrid falls back to algebraic
-  /// aggregation.
-  std::shared_ptr<const sparse::MgGridHint> mg_hint;
 
   /// Per source layer: node ids in row-major map order.
   std::vector<std::vector<std::size_t>> source_nodes;
@@ -67,36 +58,19 @@ ThermalField make_field(const AssembledThermal& system,
 double advected_heat(const AssembledThermal& system,
                      const std::vector<double>& temperatures);
 
-/// Preconditioner selection for the thermal solves (DESIGN.md §S20). The
-/// default is ILU(0). from_env() reads LCN_SOLVER_PRECON so large-grid runs
-/// can switch the whole binary over without a code change (README "Solver
-/// selection").
-struct SteadySolverConfig {
-  enum class Precon {
-    kIlu0,       ///< zero fill-in incomplete LU (default)
-    kMultigrid,  ///< geometric/algebraic multigrid V-cycle
-  };
-  Precon precon = Precon::kIlu0;
-
-  /// LCN_SOLVER_PRECON=ilu0|mg. Unset/unknown values keep the default.
-  static SteadySolverConfig from_env();
-};
-
 /// The one preconditioner set-up and solve path shared by solve_steady() and
-/// TransientStepper: a single preconditioner plus the Krylov scratch, kept
+/// TransientStepper: an ILU(0) preconditioner plus the Krylov scratch, kept
 /// across calls. factor() on a matrix that shares the previous one's index
 /// arrays (probe after probe on one assembly plan, step after step on one
 /// transient operator) refactorizes numerically and skips the symbolic
-/// analysis; a new structure or preconditioner kind builds afresh. For
-/// ILU(0) and grid-hinted multigrid the refactored preconditioner equals a
-/// fresh construction, so results do not depend on what the workspace solved
-/// before. One workspace per thread — no internal synchronization.
+/// analysis; a new structure builds afresh. The refactored preconditioner
+/// equals a fresh construction (DESIGN.md §S18), so results do not depend on
+/// what the workspace solved before. One workspace per thread — no internal
+/// synchronization.
 class SteadyWorkspace {
  public:
-  /// Set the preconditioner up for `matrix`. `hint` feeds the multigrid
-  /// coarsening and is ignored by ILU(0).
-  void factor(const sparse::CsrMatrix& matrix, const sparse::MgGridHint* hint,
-              SteadySolverConfig::Precon precon);
+  /// Set the preconditioner up for `matrix`.
+  void factor(const sparse::CsrMatrix& matrix);
 
   /// Solve matrix · x = rhs with the preconditioner factor() set up for this
   /// matrix (BiCGSTAB, retry, GMRES fallback); x carries the initial guess in
@@ -106,15 +80,8 @@ class SteadyWorkspace {
              sparse::Vector& x, const std::string& context,
              double rel_tolerance);
 
-  /// The kind factor() last set up; empty before the first factor().
-  std::optional<SteadySolverConfig::Precon> precon() const;
-
  private:
-  std::variant<std::monostate, sparse::Ilu0Preconditioner,
-               sparse::MultigridPreconditioner>
-      precon_;
-  sparse::SharedIndexes factored_rows_;
-  sparse::SharedIndexes factored_cols_;
+  std::optional<sparse::Ilu0Preconditioner> precon_;
   sparse::SolverWorkspace krylov_;
 };
 
@@ -125,12 +92,9 @@ class SteadyWorkspace {
 /// temperature field is an excellent starting point. `workspace` (optional)
 /// carries preconditioner + Krylov scratch across calls; without one the
 /// solve uses a fresh workspace, and the result is bit-identical either way.
-/// `config` (optional) selects the preconditioner; null reads
-/// SteadySolverConfig::from_env().
 ThermalField solve_steady(const AssembledThermal& system,
                           double rel_tolerance = 1e-9,
                           const std::vector<double>* initial_guess = nullptr,
-                          SteadyWorkspace* workspace = nullptr,
-                          const SteadySolverConfig* config = nullptr);
+                          SteadyWorkspace* workspace = nullptr);
 
 }  // namespace lcn

@@ -232,34 +232,6 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal2RM::build_plan() const {
   plan->volumetric_heat = problem_.coolant.volumetric_heat;
   plan->inlet_temperature = problem_.inlet_temperature;
 
-  // Node coordinates for geometric multigrid: both phases of a block share
-  // its (layer, block row, block col), so the first vertical coarsening step
-  // coalesces the solid/liquid pair along their strong convective coupling.
-  {
-    auto hint = std::make_shared<sparse::MgGridHint>();
-    hint->layer.assign(n, 0);
-    hint->row.assign(n, 0);
-    hint->col.assign(n, 0);
-    for (int l = 0; l < stack.layer_count(); ++l) {
-      for (int br = 0; br < block_rows_; ++br) {
-        for (int bc = 0; bc < block_cols_; ++bc) {
-          for (int phase = 0; phase < 2; ++phase) {
-            const std::ptrdiff_t id =
-                node_id_[static_cast<std::size_t>(l)]
-                        [block_index(br, bc) * 2 +
-                         static_cast<std::size_t>(phase)];
-            if (id < 0) continue;
-            const auto node = static_cast<std::size_t>(id);
-            hint->layer[node] = l;
-            hint->row[node] = br;
-            hint->col[node] = bc;
-          }
-        }
-      }
-    }
-    plan->mg_hint = std::move(hint);
-  }
-
   // One task per (layer, block row), exactly mirroring the historical
   // fresh-assembly traversal: each task records into a task-local Emitter
   // and writes only its own blocks' capacitance entries, so tasks are

@@ -88,25 +88,6 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
   plan->volumetric_heat = problem_.coolant.volumetric_heat;
   plan->inlet_temperature = problem_.inlet_temperature;
 
-  // Node coordinates for geometric multigrid: 4RM nodes are exactly the
-  // (layer, row, col) lattice.
-  {
-    auto hint = std::make_shared<sparse::MgGridHint>();
-    hint->layer.reserve(n);
-    hint->row.reserve(n);
-    hint->col.reserve(n);
-    for (int l = 0; l < layer_count; ++l) {
-      for (int r = 0; r < grid.rows(); ++r) {
-        for (int c = 0; c < grid.cols(); ++c) {
-          hint->layer.push_back(l);
-          hint->row.push_back(r);
-          hint->col.push_back(c);
-        }
-      }
-    }
-    plan->mg_hint = std::move(hint);
-  }
-
   // Per-layer context shared by every row block of the layer.
   struct LayerCtx {
     const Layer* layer = nullptr;

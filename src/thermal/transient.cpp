@@ -7,9 +7,8 @@
 
 namespace lcn {
 
-TransientStepper::TransientStepper(const AssembledThermal& system, double dt,
-                                   const SteadySolverConfig& config)
-    : config_(config) {
+TransientStepper::TransientStepper(const AssembledThermal& system,
+                                   double dt) {
   bind(system, dt);
 }
 
@@ -89,7 +88,7 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
 
   // lhs_ borrows plan_'s index arrays on every refill, so the
   // preconditioner's refactorization skips its symbolic phase.
-  workspace_.factor(lhs_, system.mg_hint.get(), config_.precon);
+  workspace_.factor(lhs_);
 }
 
 void TransientStepper::step(std::vector<double>& temps,
@@ -126,9 +125,7 @@ std::vector<TransientSample> simulate_transient(
   LCN_REQUIRE(options.dt > 0.0, "time step must be positive");
   LCN_REQUIRE(options.steps >= 1, "need at least one step");
 
-  const SteadySolverConfig config =
-      options.solver ? *options.solver : SteadySolverConfig::from_env();
-  TransientStepper stepper(system, options.dt, config);
+  TransientStepper stepper(system, options.dt);
 
   std::vector<TransientSample> samples;
   samples.reserve(static_cast<std::size_t>(options.steps));

@@ -2,7 +2,7 @@
 // extended to transient"). Backward-Euler stepping on the assembled RC
 // system: (C/Δt + A)·T_{n+1} = b + (C/Δt)·T_n.
 //
-// The stepper follows the S18/S20 solver idiom (DESIGN.md §S23): the
+// The stepper follows the S18 solver idiom (DESIGN.md §S23): the
 // (C/Δt + A) operator is captured once as a SparsityPlan, rebinding to a new
 // assembly of the *same* plan (a pressure change, a boundary refill, a new
 // Δt) is a pure numeric refill plus an in-place preconditioner
@@ -10,9 +10,9 @@
 // idiom so the step loop is bit-identical for any LCN_THREADS.
 #pragma once
 
-#include <optional>
 #include <vector>
 
+#include "sparse/sparsity_plan.hpp"
 #include "thermal/field.hpp"
 
 namespace lcn {
@@ -21,9 +21,6 @@ struct TransientOptions {
   double dt = 1e-3;        ///< s
   int steps = 100;
   double rel_tolerance = 1e-9;
-  /// Preconditioner selection; unset reads SteadySolverConfig::from_env(),
-  /// matching solve_steady.
-  std::optional<SteadySolverConfig> solver;
 };
 
 struct TransientSample {
@@ -38,8 +35,7 @@ struct TransientSample {
 /// picked up automatically — step() reads `system.rhs` each call.
 class TransientStepper {
  public:
-  TransientStepper(const AssembledThermal& system, double dt,
-                   const SteadySolverConfig& config);
+  TransientStepper(const AssembledThermal& system, double dt);
 
   /// Point the stepper at a new assembly and/or time step. When the new
   /// matrix shares the previous one's index arrays (same assembly plan) the
@@ -63,7 +59,6 @@ class TransientStepper {
   const AssembledThermal* system_ = nullptr;
   double dt_ = 0.0;
   std::size_t n_ = 0;
-  SteadySolverConfig config_;
 
   /// C/Δt hoisted once per rebind (the historical path re-derived it per
   /// element per step).

@@ -1,6 +1,9 @@
-// Tests for field/metric extraction, heatmap rendering, and physical
-// invariances (D4 symmetry of the full simulation pipeline).
+// Tests for field/metric extraction, heatmap rendering, physical
+// invariances (D4 symmetry of the full simulation pipeline), and the
+// SteadyWorkspace that solve_steady and transient stepping share.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "network/generators.hpp"
 #include "thermal/model_2rm.hpp"
@@ -121,6 +124,65 @@ TEST(D4Invariance4RM, Rotation90) {
   const ThermalField b = sim_t.simulate(2000.0);
   EXPECT_NEAR(a.t_max, b.t_max, 1e-3);
   EXPECT_NEAR(a.delta_t, b.delta_t, 1e-3);
+}
+
+// ------------------------------------------------------------- solve_steady
+
+CoolingProblem small_problem() {
+  CoolingProblem problem;
+  problem.grid = Grid2D(21, 21, 100e-6);
+  problem.stack = make_interlayer_stack(2, 200e-6);
+  for (int die = 0; die < 2; ++die) {
+    problem.source_power.emplace_back(problem.grid, 1.0);
+  }
+  return problem;
+}
+
+std::vector<CoolingNetwork> straight_networks(const CoolingProblem& problem) {
+  return std::vector<CoolingNetwork>(
+      static_cast<std::size_t>(problem.stack.channel_count()),
+      make_straight_channels(problem.grid));
+}
+
+TEST(SolveSteady, CallerWorkspaceBitIdenticalToNoWorkspace) {
+  const CoolingProblem problem = small_problem();
+  const Thermal4RM sim(problem, straight_networks(problem));
+  const AssembledThermal system = sim.assemble(2000.0);
+
+  const ThermalField own = solve_steady(system, 1e-9);
+  SteadyWorkspace ws;
+  const ThermalField with_ws = solve_steady(system, 1e-9, nullptr, &ws);
+  EXPECT_EQ(own.temperatures, with_ws.temperatures);
+}
+
+// One workspace reused across model kinds and sparsity structures must give
+// the bits of a fresh workspace every time: a new structure builds afresh, a
+// same-structure refill refactorizes in place.
+TEST(SteadyWorkspace, ReuseAcrossKindsAndStructuresMatchesFreshWorkspace) {
+  const CoolingProblem problem = small_problem();
+  const Thermal4RM sim4(problem, straight_networks(problem));
+  const Thermal2RM sim2(problem, straight_networks(problem), 3);
+  const AssembledThermal a4 = sim4.assemble(2000.0);
+  const AssembledThermal b4 = sim4.assemble(3000.0);  // same plan, new values
+  const AssembledThermal a2 = sim2.assemble(2000.0);  // another structure
+
+  SteadyWorkspace reused;
+  for (const AssembledThermal* system : {&a4, &b4, &a2, &b4}) {
+    SteadyWorkspace fresh;
+    const ThermalField want = solve_steady(*system, 1e-9, nullptr, &fresh);
+    const ThermalField got = solve_steady(*system, 1e-9, nullptr, &reused);
+    EXPECT_EQ(got.temperatures, want.temperatures);
+  }
+}
+
+TEST(SteadyWorkspace, SolveBeforeFactorIsAContractError) {
+  const CoolingProblem problem = small_problem();
+  const Thermal2RM sim(problem, straight_networks(problem), 3);
+  const AssembledThermal system = sim.assemble(2000.0);
+  SteadyWorkspace ws;
+  std::vector<double> x(system.matrix.rows(), 300.0);
+  EXPECT_THROW(ws.solve(system.matrix, system.rhs, x, "unfactored", 1e-9),
+               ContractError);
 }
 
 }  // namespace

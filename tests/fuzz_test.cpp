@@ -1,12 +1,20 @@
 // Randomized robustness tests: serialization round-trips on random
-// networks, DRC consistency on random carvings, and solver robustness on
-// randomly perturbed assemblies. All seeds fixed for reproducibility.
+// networks, DRC consistency on random carvings, solver robustness on
+// randomly perturbed assemblies, and the daemon's wire parser on mutated
+// request lines. All seeds fixed for reproducibility.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "flow/flow_solver.hpp"
 #include "network/design_rules.hpp"
 #include "network/generators.hpp"
+#include "service/json.hpp"
+#include "service/protocol.hpp"
 
 namespace lcn {
 namespace {
@@ -119,6 +127,156 @@ TEST(Fuzz, DrcCleanNetworksAlwaysFlowSolvable) {
     }) << "trial " << trial;
   }
   EXPECT_GT(clean_count, 0);
+}
+
+// ------------------------------------------------------------ wire parser
+
+/// Valid request lines, one per op and submit kind (service/protocol.hpp).
+const std::vector<std::string>& wire_corpus() {
+  static const std::vector<std::string> corpus = {
+      R"({"op":"submit","kind":"design","case":2,"objective":"p1",)"
+      R"("scale":0.05,"seed":7,"shares":2,"priority":0,"timeout":30,)"
+      R"("stream":true})",
+      R"({"op":"submit","kind":"evaluate","case":1,"model":"4rm",)"
+      R"("b1":3,"b2":5,"direction":2,"name":"a\"b\\c\u00e9"})",
+      R"({"op":"submit","kind":"sweep","case":3,"objective":"p2",)"
+      R"("scenarios":16,"seed":18446744073709551615,"cell":4})",
+      R"({"op":"submit","kind":"scenario","scenario":"{\"steps\":3}\n",)"
+      R"("private_flow_plans":false,"timeout":1.5e1})",
+      R"({"op":"status","job":3})",
+      R"( { "op" : "result" , "job" : 12 } )",
+      R"({"op":"cancel","job":1,"extra":null})",
+      R"({"op":"list"})",
+      R"({"op":"ping"})",
+      R"({"op":"metrics"})",
+      R"({"op":"shutdown"})",
+  };
+  return corpus;
+}
+
+/// Fixed-seed mutator: byte flips, truncations, and insertion of the
+/// fragments the parser branches on (quotes, escapes, containers, huge and
+/// negative numbers, duplicate keys).
+std::string mutate(std::string line, Rng& rng) {
+  static const char* const kFragments[] = {
+      "\"", "\\", "\\u", "\\u12", "\\uZZZZ", "{", "[", "}", ",", ":",
+      "1e999", "-1e999", "18446744073709551616", "-9223372036854775809",
+      "99999999999999999999999999", "-1", "-0", "1.5", "+7", "1e-400",
+      "--1", "1e", "nul", "tru"};
+  static const char* const kKeys[] = {"op", "kind", "job", "seed", "case",
+                                      "scale", "direction", "scenario"};
+  static const char* const kValues[] = {
+      "\"status\"", "\"submit\"", "-3", "1e999", "18446744073709551615",
+      "18446744073709551616", "0", "true", "null", "\"\\u0000\"", "[]", "{}"};
+  const int edits = 1 + static_cast<int>(rng.next_below(3));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.next_below(line.size() + 1);
+    switch (rng.next_below(4)) {
+      case 0:  // byte flip
+        if (!line.empty()) {
+          line[pos % line.size()] ^= static_cast<char>(
+              1u << rng.next_below(8));
+        }
+        break;
+      case 1:  // truncation
+        line.resize(pos);
+        break;
+      case 2:  // fragment insertion
+        line.insert(pos, kFragments[rng.next_below(std::size(kFragments))]);
+        break;
+      default: {  // duplicate key, before the original or after it
+        const std::string pair =
+            std::string("\"") + kKeys[rng.next_below(std::size(kKeys))] +
+            "\":" + kValues[rng.next_below(std::size(kValues))];
+        if (rng.next_bool()) {
+          const std::size_t open = line.find('{');
+          if (open != std::string::npos) line.insert(open + 1, pair + ",");
+        } else {
+          const std::size_t close = line.rfind('}');
+          if (close != std::string::npos) line.insert(close, "," + pair);
+        }
+        break;
+      }
+    }
+  }
+  return line;
+}
+
+/// Reference for JsonObject::get_uint64: an optional '+', then only digits,
+/// and a value that fits in 64 bits.
+service::JsonObject::IntStatus expected_uint64(const std::string& token,
+                                               std::uint64_t& value) {
+  using Status = service::JsonObject::IntStatus;
+  const std::size_t start = !token.empty() && token[0] == '+' ? 1 : 0;
+  if (start == token.size()) return Status::kBad;
+  value = 0;
+  for (std::size_t i = start; i < token.size(); ++i) {
+    if (token[i] < '0' || token[i] > '9') return Status::kBad;
+    const auto digit = static_cast<std::uint64_t>(token[i] - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return Status::kBad;
+    }
+    value = value * 10 + digit;
+  }
+  return Status::kOk;
+}
+
+TEST(Fuzz, WireParserSurvivesMutatedRequestLines) {
+  using Status = service::JsonObject::IntStatus;
+  Rng rng(2024);
+  const std::vector<std::string>& corpus = wire_corpus();
+  for (const std::string& line : corpus) {
+    service::Request request;
+    std::string error;
+    ASSERT_TRUE(service::parse_request(line, request, error))
+        << line << ": " << error;
+  }
+
+  constexpr int kMutants = 24000;
+  int objects_accepted = 0;
+  int requests_accepted = 0;
+  for (int trial = 0; trial < kMutants; ++trial) {
+    const std::string line =
+        mutate(corpus[rng.next_below(corpus.size())], rng);
+
+    service::JsonObject obj;
+    std::string error;
+    if (service::parse_json_object(line, obj, error)) {
+      ++objects_accepted;
+      for (const auto& [key, token] : obj.number_tokens) {
+        ASSERT_EQ(obj.numbers.count(key), 1u) << line;
+        std::uint64_t got = 0;
+        std::uint64_t want = 0;
+        const Status status = obj.get_uint64(key, got);
+        ASSERT_EQ(status, expected_uint64(token, want)) << line;
+        if (status == Status::kOk) {
+          ASSERT_EQ(got, want) << line;
+        }
+        // Saturating, so huge tokens (1e999 -> inf) convert without UB.
+        const long as_int = obj.get_int(key);
+        const double value = obj.numbers.at(key);
+        if (value >= 0.0) {
+          ASSERT_GE(as_int, 0) << line;
+        } else if (value <= -1.0) {
+          ASSERT_LT(as_int, 0) << line;
+        }
+      }
+    } else {
+      ASSERT_FALSE(error.empty()) << line;
+    }
+
+    service::Request request;
+    error.clear();
+    if (service::parse_request(line, request, error)) {
+      ++requests_accepted;
+    } else {
+      ASSERT_FALSE(error.empty()) << line;
+    }
+  }
+  // The mutator keeps a share of lines well-formed, so the accept paths
+  // (and their number accessors) are exercised as well as the rejects.
+  EXPECT_GT(objects_accepted, kMutants / 20);
+  EXPECT_GT(requests_accepted, kMutants / 50);
 }
 
 }  // namespace

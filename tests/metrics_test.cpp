@@ -211,12 +211,12 @@ TEST(MetricsLevel, ScopedLatencyRespectsLevelGating) {
   metrics::set_level(metrics::kCoarse);
   {
     // A fine site stays silent at the coarse level...
-    const metrics::ScopedLatency fine(metrics::Hist::mg_vcycle_seconds,
+    const metrics::ScopedLatency fine(metrics::Hist::spmv_batch_seconds,
                                       metrics::kFine);
     // ...while a coarse site records.
     const metrics::ScopedLatency coarse(metrics::Hist::gmres_seconds);
   }
-  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::mg_vcycle_seconds).count, 0u);
+  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::spmv_batch_seconds).count, 0u);
   EXPECT_EQ(shard.snapshot().hist(metrics::Hist::gmres_seconds).count, 1u);
 }
 

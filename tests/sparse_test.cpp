@@ -7,7 +7,6 @@
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/gmres.hpp"
-#include "sparse/multigrid.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/solvers.hpp"
 
@@ -331,26 +330,88 @@ TEST(ResidualHistory, RecordedOnNonConvergence) {
   EXPECT_EQ(report.residual_history.back(), report.relative_residual);
 }
 
-TEST(ResidualHistory, MultigridPreconditionedFinalEntryMatchesReport) {
-  Rng rng(15);
-  const CsrMatrix a = random_nonsymmetric(160, rng, 0.6);
-  Vector b(160);
-  for (auto& v : b) v = rng.next_real(-1.0, 1.0);
-  // No grid hint: exercises the algebraic-aggregation hierarchy.
-  const MultigridPreconditioner m(a);
+// 2D 5-point Laplacian on a g x g grid.
+CsrMatrix laplacian2d(std::size_t g) {
+  const std::size_t n = g * g;
+  TripletList trip(n, n);
+  for (std::size_t r = 0; r < g; ++r) {
+    for (std::size_t c = 0; c < g; ++c) {
+      const std::size_t i = r * g + c;
+      trip.add(i, i, 4.0);
+      if (r > 0) trip.add(i, i - g, -1.0);
+      if (r + 1 < g) trip.add(i, i + g, -1.0);
+      if (c > 0) trip.add(i, i - 1, -1.0);
+      if (c + 1 < g) trip.add(i, i + 1, -1.0);
+    }
+  }
+  return trip.to_csr();
+}
 
-  Vector x;
-  SolveOptions opts;
-  opts.record_residuals = true;
-  const SolveReport report = bicgstab_solve(a, b, x, m, opts);
-  ASSERT_TRUE(report.converged);
-  ASSERT_FALSE(report.residual_history.empty());
-  EXPECT_EQ(report.residual_history.back(), report.relative_residual);
+Vector varied_vector(std::size_t n) {
+  Vector x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = std::sin(0.37 * static_cast<double>(i)) +
+           1e-3 * static_cast<double>(i % 101);
+  }
+  return x;
+}
 
-  Vector y;
-  const SolveReport quiet = bicgstab_solve(a, b, y, m);
-  EXPECT_TRUE(quiet.residual_history.empty());
-  EXPECT_EQ(y, x);
+// ILU(0) refactor() contract (DESIGN.md §S18): after a refactor, whether to
+// a matrix sharing the previous structure (numeric refill) or to one with a
+// DIFFERENT structure (full-reconstruction fallback), the preconditioner must
+// behave exactly like one freshly built from the new matrix.
+void expect_refactor_equals_fresh(const CsrMatrix& first,
+                                  const CsrMatrix& second) {
+  Ilu0Preconditioner refactored(first);
+  refactored.refactor(second);
+  const Ilu0Preconditioner fresh(second);
+  const Vector r = varied_vector(second.rows());
+  Vector z_refactored, z_fresh;
+  refactored.apply(r, z_refactored);
+  fresh.apply(r, z_fresh);
+  EXPECT_EQ(z_refactored, z_fresh);
+}
+
+TEST(PreconRefactor, FallsBackToFullRebuildOnStructureFlip) {
+  const CsrMatrix small = laplacian2d(23);
+  const CsrMatrix big = laplacian2d(41);
+  expect_refactor_equals_fresh(small, big);
+  // And back down again mid-sequence.
+  expect_refactor_equals_fresh(big, small);
+}
+
+TEST(PreconRefactor, SharedStructureRefillMatchesFresh) {
+  const CsrMatrix a = laplacian2d(32);
+  Vector values = a.values();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] *= 1.0 + 1e-3 * static_cast<double>(i % 7);
+  }
+  const CsrMatrix b(a.rows(), a.cols(), a.shared_row_ptr(), a.shared_col_idx(),
+                    std::move(values));
+  expect_refactor_equals_fresh(a, b);
+}
+
+// A refactor that throws in the symbolic phase must not leave the failed
+// structure behind as "analyzed": refactoring to it again re-runs the
+// diagonal search (and throws again), and a valid matrix afterwards still
+// gives the fresh factors.
+TEST(PreconRefactor, MissingDiagonalKeepsNoStaleStructure) {
+  const CsrMatrix good = laplacian2d(9);
+  TripletList t(good.rows(), good.cols());
+  for (std::size_t i = 1; i < good.rows(); ++i) t.add(i, i, 1.0);
+  t.add(0, 1, 1.0);
+  const CsrMatrix bad = t.to_csr();
+
+  Ilu0Preconditioner m(good);
+  EXPECT_THROW(m.refactor(bad), RuntimeError);
+  EXPECT_THROW(m.refactor(bad), RuntimeError);
+  m.refactor(good);
+  const Ilu0Preconditioner fresh(good);
+  const Vector r = varied_vector(good.rows());
+  Vector z, z_fresh;
+  m.apply(r, z);
+  fresh.apply(r, z_fresh);
+  EXPECT_EQ(z, z_fresh);
 }
 
 }  // namespace
