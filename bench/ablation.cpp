@@ -6,17 +6,16 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/design_rules.hpp"
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
 #include "opt/sa.hpp"
+#include "reproduce.hpp"
 
+namespace lcn::reproduce {
 namespace {
-
-using namespace lcn;
 
 TreeLayout layout_of_type(const Grid2D& grid, BranchType type, int b1,
                           int b2) {
@@ -47,11 +46,10 @@ TreeLayout layout_of_type(const Grid2D& grid, BranchType type, int b1,
 
 }  // namespace
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Ablations — branch types, flow directions, branch "
-                    "positions, edge factor",
-                    "paper §4.3/§4.4 design choices");
+int ablation() {
+  banner("Ablations — branch types, flow directions, branch "
+         "positions, edge factor",
+         "paper §4.3/§4.4 design choices");
 
   const BenchmarkCase bench = make_iccad_case(1);
   const Grid2D& grid = bench.problem.grid;
@@ -170,3 +168,5 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace lcn::reproduce

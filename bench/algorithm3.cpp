@@ -5,21 +5,23 @@
 // point. Every probe is one thermal simulation, so probe count is runtime.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
+#include "reproduce.hpp"
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Algorithm 3 — pressure-search probe efficiency",
-                    "paper §4.2, Algorithm 3");
+namespace lcn::reproduce {
+
+int algorithm3() {
+  banner("Algorithm 3 — pressure-search probe efficiency",
+         "paper §4.2, Algorithm 3");
 
   TextTable table({"case", "network", "alg3 P (kPa)", "alg3 probes",
                    "sweep P (kPa)", "sweep probes", "agreement"});
 
-  for (int id : benchutil::case_ids("1,2")) {
+  for (int id : case_ids("1,2")) {
     const BenchmarkCase bench = make_iccad_case(id);
     const Grid2D& grid = bench.problem.grid;
     struct Net {
@@ -77,3 +79,5 @@ int main() {
               "order of magnitude fewer simulations than the naive sweep.\n");
   return 0;
 }
+
+}  // namespace lcn::reproduce

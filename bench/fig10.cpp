@@ -6,16 +6,16 @@
 #include <filesystem>
 #include <fstream>
 
-#include "bench_util.hpp"
+#include "common/env.hpp"
 #include "opt/sa.hpp"
+#include "reproduce.hpp"
 #include "thermal/image.hpp"
 #include "thermal/temp_map.hpp"
 
+namespace lcn::reproduce {
 namespace {
 
-using namespace lcn;
-
-void report(const char* title, const BenchmarkCase& bench,
+void report(const char* title, const char* tag, const BenchmarkCase& bench,
             const DesignOutcome& outcome) {
   std::printf("\n--- %s ---\n", title);
   if (!outcome.feasible) {
@@ -35,14 +35,12 @@ void report(const char* title, const BenchmarkCase& bench,
     std::error_code ec;
     std::filesystem::create_directories("bench_results", ec);
     if (!ec) {
-      const std::string tag =
-          (title[0] == 'P' && title[8] == '1') ? "p1" : "p2";
       const std::string csv_path =
-          "bench_results/fig10_" + tag + "_bottom_layer.csv";
+          std::string("bench_results/fig10_") + tag + "_bottom_layer.csv";
       std::ofstream out(csv_path);
       out << temperature_csv(field, 0);
       const std::string pgm_path =
-          "bench_results/fig10_" + tag + "_bottom_layer.pgm";
+          std::string("bench_results/fig10_") + tag + "_bottom_layer.pgm";
       std::ofstream img(pgm_path, std::ios::binary);
       img << temperature_pgm(field, 0, 4);
       std::printf("  [csv: %s, pgm: %s]\n", csv_path.c_str(),
@@ -53,23 +51,22 @@ void report(const char* title, const BenchmarkCase& bench,
 
 }  // namespace
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Fig. 10 — bottom source-layer temperature maps (case 1)",
-                    "paper §6 Fig. 10");
-  const double scale = benchutil::sa_scale(0.15);
+int fig10() {
+  banner("Fig. 10 — bottom source-layer temperature maps (case 1)",
+         "paper §6 Fig. 10");
+  const double scale = sa_scale(0.15);
 
   const BenchmarkCase bench = make_iccad_case(1);
 
   TreeTopologyOptimizer p1(bench, DesignObjective::kPumpingPower, 0xf16);
   const DesignOutcome out1 = p1.run(default_p1_stages(scale));
-  report("Problem 1 design (min W_pump)", bench, out1);
+  report("Problem 1 design (min W_pump)", "p1", bench, out1);
 
   BenchmarkCase bench2 = make_iccad_case(1);
   bench2.constraints.w_pump_max = problem2_pump_budget(bench2);
   TreeTopologyOptimizer p2(bench2, DesignObjective::kThermalGradient, 0xf17);
   const DesignOutcome out2 = p2.run(default_p2_stages(scale));
-  report("Problem 2 design (min dT)", bench2, out2);
+  report("Problem 2 design (min dT)", "p2", bench2, out2);
 
   if (out1.feasible && out2.feasible) {
     std::printf(
@@ -82,3 +79,5 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace lcn::reproduce

@@ -4,16 +4,17 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "flow/flow_solver.hpp"
 #include "flow/flow_stats.hpp"
 #include "network/design_rules.hpp"
 #include "network/generators.hpp"
+#include "reproduce.hpp"
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Fig. 2(c) — pressure & flow-rate distribution",
-                    "paper §2.1, Fig. 2");
+namespace lcn::reproduce {
+
+int fig2() {
+  banner("Fig. 2(c) — pressure & flow-rate distribution",
+         "paper §2.1, Fig. 2");
 
   const Grid2D grid(23, 23, 100e-6);
   const TreeLayout layout = make_uniform_layout(grid, 8, 14);
@@ -79,3 +80,5 @@ int main() {
               stats.laminar() ? "laminar" : "TURBULENT", stats.stagnant_cells);
   return 0;
 }
+
+}  // namespace lcn::reproduce

@@ -5,16 +5,17 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
+#include "reproduce.hpp"
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Fig. 5/6 — temperatures and dT vs P_sys",
-                    "paper §4.1, Figs. 5-6");
+namespace lcn::reproduce {
+
+int fig5_6() {
+  banner("Fig. 5/6 — temperatures and dT vs P_sys",
+         "paper §4.1, Figs. 5-6");
 
   const BenchmarkCase bench = make_iccad_case(1);
   const Grid2D& grid = bench.problem.grid;
@@ -76,6 +77,8 @@ int main() {
                                : "monotone decreasing (Fig. 6(b))",
                 min_dt, min_dt_p / 1e3, last_dt);
   }
-  benchutil::maybe_save_csv(csv, "fig5_fig6_curves.csv");
+  maybe_save_csv(csv, "fig5_fig6_curves.csv");
   return 0;
 }
+
+}  // namespace lcn::reproduce

@@ -7,18 +7,19 @@
 #include <map>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
+#include "reproduce.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
 
+namespace lcn::reproduce {
 namespace {
-
-using namespace lcn;
 
 struct Sample {
   std::string style;  // "straight", "tree", "manual"
@@ -74,13 +75,12 @@ double average_relative_error(const ThermalField& f4, const ThermalField& f2,
 
 }  // namespace
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Fig. 9 — 2RM accuracy (a) and speed-up (b) vs 4RM",
-                    "paper §6, Fig. 9");
+int fig9() {
+  banner("Fig. 9 — 2RM accuracy (a) and speed-up (b) vs 4RM",
+         "paper §6, Fig. 9");
 
   const bool fast = env_flag("LCN_FAST");
-  const std::vector<int> ids = benchutil::case_ids(fast ? "1" : "1,2");
+  const std::vector<int> ids = case_ids(fast ? "1" : "1,2");
   const int tree_count =
       static_cast<int>(env_int("LCN_FIG9_NETS", fast ? 2 : 4));
   const int pressure_count =
@@ -172,6 +172,8 @@ int main() {
   std::printf("%s", speed.str().c_str());
   std::printf("expected shape: speed-up > m^2 for small cells, saturating as"
               " overhead dominates.\n");
-  benchutil::maybe_save_csv(csv, "fig9_accuracy.csv");
+  maybe_save_csv(csv, "fig9_accuracy.csv");
   return 0;
 }
+
+}  // namespace lcn::reproduce

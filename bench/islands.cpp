@@ -9,30 +9,31 @@
 // Self-checking: exits nonzero if the K-chain frontier hypervolume falls
 // below the single-chain one at the shared reference point.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "common/env.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "geom/benchmarks.hpp"
 #include "opt/islands.hpp"
+#include "reproduce.hpp"
 
-int main() {
-  using namespace lcn;
-  using Clock = std::chrono::steady_clock;
-  benchutil::banner("Island SA — K chains vs one chain at equal budget",
-                    "DESIGN.md §S21 (population-scale optimization)");
+namespace lcn::reproduce {
 
-  const double scale = benchutil::sa_scale();
-  const std::vector<int> ids = benchutil::case_ids("1");
+int islands() {
+  banner("Island SA — K chains vs one chain at equal budget",
+         "DESIGN.md §S21 (population-scale optimization)");
+
+  const double scale = sa_scale();
+  const std::vector<int> ids = case_ids("1");
   IslandOptions options = island_options_from_env();
   if (options.islands < 2) options.islands = 2;
   // The optimizer's default migration period targets full-length schedules;
-  // this bench runs short stages, so default tighter (LCN_MIGRATION_PERIOD
-  // still wins when set).
+  // this experiment runs short stages, so default tighter
+  // (LCN_MIGRATION_PERIOD still wins when set).
   options.migration_period =
       std::max(1, static_cast<int>(env_int("LCN_MIGRATION_PERIOD", 4)));
   const int k = options.islands;
@@ -63,24 +64,17 @@ int main() {
   bool ok = true;
   for (int id : ids) {
     const BenchmarkCase bench = make_iccad_case(id);
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        env_int("LCN_ISLAND_SEED", 0x15a4d)) +
-        static_cast<std::uint64_t>(id);
+    const std::uint64_t seed = 0x15a4du + static_cast<std::uint64_t>(id);
 
-    const instrument::Snapshot before_single = instrument::snapshot();
-    auto t0 = Clock::now();
+    const WallTimer single_timer;
     IslandOptimizer single(bench, DesignObjective::kPumpingPower, solo, seed);
     const IslandOutcome out_single = single.run(single_stages);
-    const double seconds_single =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    const instrument::Snapshot mid = instrument::snapshot();
+    const double seconds_single = single_timer.seconds();
 
-    t0 = Clock::now();
+    const WallTimer pop_timer;
     IslandOptimizer pop(bench, DesignObjective::kPumpingPower, options, seed);
     const IslandOutcome out_pop = pop.run(stages);
-    const double seconds_pop =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    const instrument::Snapshot after = instrument::snapshot();
+    const double seconds_pop = pop_timer.seconds();
 
     // Shared hypervolume reference just beyond the worst point either
     // frontier archived, so both volumes are measured in the same frame.
@@ -124,35 +118,6 @@ int main() {
                 static_cast<unsigned long long>(out_pop.pt_swap_attempts),
                 ratio);
 
-    benchutil::PerfRecord perf_single;
-    perf_single.bench = "bench_islands";
-    perf_single.config = strfmt("case%d/single", id);
-    perf_single.threads = global_pool_threads();
-    perf_single.seconds = seconds_single;
-    perf_single.metrics = {
-        {"hypervolume", hv_single},
-        {"frontier", static_cast<double>(out_single.archive.size())},
-        {"evaluations", static_cast<double>(out_single.best.evaluations)},
-        {"w_pump_w", out_single.best.eval.w_pump}};
-    perf_single.counters = instrument::delta(before_single, mid);
-    benchutil::append_perf_record(perf_single, "BENCH_islands.json");
-
-    benchutil::PerfRecord perf_pop;
-    perf_pop.bench = "bench_islands";
-    perf_pop.config = strfmt("case%d/islands%d", id, k);
-    perf_pop.threads = global_pool_threads();
-    perf_pop.seconds = seconds_pop;
-    perf_pop.metrics = {
-        {"hypervolume", hv_pop},
-        {"hypervolume_ratio", ratio},
-        {"frontier", static_cast<double>(out_pop.archive.size())},
-        {"evaluations", static_cast<double>(out_pop.best.evaluations)},
-        {"w_pump_w", out_pop.best.eval.w_pump},
-        {"migrations", static_cast<double>(out_pop.migrations)},
-        {"pt_swaps", static_cast<double>(out_pop.pt_swaps)}};
-    perf_pop.counters = instrument::delta(mid, after);
-    benchutil::append_perf_record(perf_pop, "BENCH_islands.json");
-
     if (!(hv_pop >= hv_single)) {
       std::printf("!! case %d: island frontier hypervolume %.6g fell below "
                   "the single-chain %.6g at equal budget\n",
@@ -166,3 +131,5 @@ int main() {
               "on every case (self-check passed)\n");
   return 0;
 }
+
+}  // namespace lcn::reproduce

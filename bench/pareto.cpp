@@ -12,18 +12,20 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/env.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
 #include "opt/pareto.hpp"
+#include "reproduce.hpp"
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Trade-off frontier — dT vs pumping-power budget",
-                    "paper abstract / §3 (energy vs thermal profile)");
+namespace lcn::reproduce {
+
+int pareto() {
+  banner("Trade-off frontier — dT vs pumping-power budget",
+         "paper abstract / §3 (energy vs thermal profile)");
 
   const BenchmarkCase bench = make_iccad_case(1);
   const Grid2D& grid = bench.problem.grid;
@@ -120,7 +122,7 @@ int main() {
               frontier_straight.size(), frontier_tree.size(), hv_straight,
               hv_tree);
 
-  benchutil::maybe_save_csv(csv, "pareto_tradeoff.csv");
+  maybe_save_csv(csv, "pareto_tradeoff.csv");
   if (!env_flag("LCN_NO_CSV")) {
     try {
       frontier_straight.save_jsonl("bench_results/pareto_straight.jsonl");
@@ -132,3 +134,5 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace lcn::reproduce

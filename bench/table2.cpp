@@ -1,14 +1,16 @@
 // E1 — Table 2: benchmark statistics of the (synthetic) ICCAD 2015 cases.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "geom/benchmarks.hpp"
+#include "reproduce.hpp"
 
-int main() {
-  using namespace lcn;
-  benchutil::banner("Table 2 — ICCAD 2015 benchmark statistics (synthetic)",
-                    "paper §6 Table 2; see DESIGN.md §4 substitution 1");
+namespace lcn::reproduce {
+
+int table2() {
+  banner("Table 2 — ICCAD 2015 benchmark statistics (synthetic)",
+         "paper §6 Table 2; see DESIGN.md §4 substitution 1");
 
   TextTable table({"#", "Die Num", "h_c (um)", "Die Power (W)", "dT* (K)",
                    "Tmax* (K)", "Other Constraint", "Peak/Mean Density"});
@@ -44,3 +46,5 @@ int main() {
       "  5: 2/400/148.174/10/338.15\n");
   return 0;
 }
+
+}  // namespace lcn::reproduce

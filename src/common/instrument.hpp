@@ -1,12 +1,11 @@
 // Lightweight solver instrumentation (DESIGN.md §S1, sharded in §S22).
 //
 // The hot numerical paths (SpMV, Krylov solvers, 4RM/2RM assembly, the SA
-// evaluator cache) bump relaxed atomic counters; benches snapshot them and
-// emit machine-readable perf records (bench_results/BENCH_parallel.json) so
-// the perf trajectory of serial vs parallel configurations is tracked over
-// time. Counting costs one relaxed atomic add per billed shard per *kernel
-// invocation* (not per element), so the overhead is far below measurement
-// noise.
+// evaluator cache) bump relaxed atomic counters; perfbench snapshots them
+// around each workload for its per-layer metrics, and the serving layer
+// exports them as Prometheus counters. Counting costs one relaxed atomic add
+// per billed shard per *kernel invocation* (not per element), so the
+// overhead is far below measurement noise.
 //
 // Multi-tenant sharding (§S22): add() always bills the process-wide
 // telemetry shard, and *additionally* the shard of the task context
@@ -77,8 +76,7 @@ enum class Counter : std::size_t {
 
 constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
 
-/// Point-in-time copy of every counter. `json()` renders a flat JSON object
-/// (the "counters" field of the BENCH_parallel.json schema, README §Bench):
+/// Point-in-time copy of every counter. `json()` renders a flat JSON object:
 /// every counter under its own name, plus the derived `cache_hit_rate` and
 /// `assembly_seconds`.
 struct Snapshot {
@@ -99,9 +97,9 @@ void add(Counter c, std::uint64_t n = 1);
 std::uint64_t task_count(Counter c);
 
 Snapshot snapshot();
-/// Difference of two snapshots (per-phase accounting in benches). This is
-/// the preferred per-phase pattern — snapshot before, snapshot after, diff —
-/// because it needs no coordination with concurrent counter adds.
+/// Difference of two snapshots. This is the preferred per-phase pattern —
+/// snapshot before, snapshot after, diff — because it needs no coordination
+/// with concurrent counter adds.
 Snapshot delta(const Snapshot& before, const Snapshot& after);
 
 /// Atomically drain every counter: each counter's value moves into the

@@ -1,9 +1,9 @@
 // Run provenance manifest (DESIGN.md §S19).
 //
-// Every machine-readable output — bench perf records (bench_util) and trace
-// sinks (common/trace) — is stamped with the same manifest so records from
-// different commits, thread counts and build configurations stay comparable
-// across the perf trajectory. Fields that cannot be determined degrade to
+// Every machine-readable output — trace sinks (common/trace), the Prometheus
+// labels (common/metrics) and the daemon's metrics op — is stamped with the
+// same manifest so records from different commits, thread counts and build
+// configurations stay comparable. Fields that cannot be determined degrade to
 // "unknown" (e.g. git outside a work tree) so downstream JSON consumers keep
 // parsing.
 #pragma once

@@ -244,19 +244,6 @@ ScopedLatency::~ScopedLatency() {
 }
 
 // ---------------------------------------------------------------------------
-// Shared sample quantile
-
-double sample_quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(clamped * static_cast<double>(values.size())));
-  rank = std::clamp<std::size_t>(rank, 1, values.size());
-  return values[rank - 1];
-}
-
-// ---------------------------------------------------------------------------
 // Prometheus text exposition (format 0.0.4)
 
 std::string manifest_labels() {

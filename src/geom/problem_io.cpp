@@ -10,6 +10,10 @@ namespace lcn {
 
 namespace {
 
+/// Largest grid a problem file may declare (~400x the cells of the paper's
+/// 101x101 cases): every source layer allocates one power value per cell.
+constexpr std::size_t kMaxGridCells = std::size_t{1} << 22;
+
 /// Split a line into whitespace-separated fields, dropping comments.
 std::vector<std::string> fields_of(const std::string& line) {
   const std::string body = line.substr(0, line.find('#'));
@@ -66,6 +70,11 @@ ProblemDescription parse_stack_description(const std::string& text) {
       desc.problem.grid = Grid2D(parse_int(fields[1], context),
                                  parse_int(fields[2], context),
                                  parse_double(fields[3], context));
+      if (desc.problem.grid.cell_count() > kMaxGridCells) {
+        throw RuntimeError(strfmt("problem file: grid exceeds %zu cells (",
+                                  kMaxGridCells) +
+                           context + ")");
+      }
       grid_seen = true;
     } else if (fields[0] == "inlet_temperature") {
       if (fields.size() != 2) {
@@ -146,8 +155,9 @@ PowerMap parse_floorplan(const std::string& text, const Grid2D& grid) {
     const int col0 = parse_int(fields[2], context);
     const int rows = parse_int(fields[3], context);
     const int cols = parse_int(fields[4], context);
+    // In-bounds origin first, so the extent checks cannot overflow.
     if (rows <= 0 || cols <= 0 || !grid.in_bounds(row0, col0) ||
-        !grid.in_bounds(row0 + rows - 1, col0 + cols - 1)) {
+        rows > grid.rows() - row0 || cols > grid.cols() - col0) {
       throw RuntimeError("floorplan: unit `" + fields[0] +
                          "` out of grid bounds (" + context + ")");
     }

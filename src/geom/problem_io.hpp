@@ -2,7 +2,7 @@
 // description and floorplan files").
 //
 // Stack description:
-//   grid <rows> <cols> <pitch_m>
+//   grid <rows> <cols> <pitch_m>          (at most 2^22 cells)
 //   inlet_temperature <K>
 //   ambient <conductance W/(m²K)> <temperature K>
 //   layer <solid|source|channel> <name> <thickness_m> <k W/(mK)> <c J/(m³K)>

@@ -1,5 +1,6 @@
 #include "scenario/scenario_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -15,6 +16,17 @@ using service::JsonObject;
 
 [[noreturn]] void fail(int line_no, const std::string& what) {
   throw RuntimeError(strfmt("scenario line %d: %s", line_no, what.c_str()));
+}
+
+/// An integer field, truncated toward zero like a C cast; a value outside
+/// int's range is an error rather than an undefined conversion.
+int int_field(const JsonObject& obj, const std::string& key, int fallback,
+              int line_no) {
+  const double value = obj.get_number(key, fallback);
+  if (!(std::abs(value) < 2147483648.0)) {
+    fail(line_no, "\"" + key + "\" is out of integer range");
+  }
+  return static_cast<int>(value);
 }
 
 std::vector<double> parse_scales(const std::string& text, int line_no) {
@@ -49,9 +61,9 @@ void apply_header(const JsonObject& obj, ScenarioConfig& config,
     fail(line_no, "unknown model \"" + model + "\" (want 2rm or 4rm)");
   }
   config.sim.thermal_cell =
-      static_cast<int>(obj.get_number("cell", config.sim.thermal_cell));
+      int_field(obj, "cell", config.sim.thermal_cell, line_no);
   config.dt = obj.get_number("dt", config.dt);
-  config.steps = static_cast<int>(obj.get_number("steps", config.steps));
+  config.steps = int_field(obj, "steps", config.steps, line_no);
   config.rel_tolerance =
       obj.get_number("rel_tolerance", config.rel_tolerance);
   config.trace.scale = obj.get_number("scale", config.trace.scale);
@@ -119,9 +131,9 @@ void apply_fault(const JsonObject& obj, ScenarioConfig& config, int line_no) {
   const std::string kind = obj.get_string("kind");
   if (kind == "blockage") {
     fault.kind = FaultKind::kChannelBlockage;
-    fault.row = static_cast<int>(obj.get_number("row"));
-    fault.col = static_cast<int>(obj.get_number("col"));
-    fault.radius = static_cast<int>(obj.get_number("radius", 1.0));
+    fault.row = int_field(obj, "row", 0, line_no);
+    fault.col = int_field(obj, "col", 0, line_no);
+    fault.radius = int_field(obj, "radius", 1, line_no);
     fault.severity = obj.get_number("severity", 0.5);
   } else if (kind == "droop") {
     fault.kind = FaultKind::kPumpDroop;
@@ -132,7 +144,7 @@ void apply_fault(const JsonObject& obj, ScenarioConfig& config, int line_no) {
   } else if (kind == "excursion") {
     fault.kind = FaultKind::kPowerExcursion;
     fault.magnitude = obj.get_number("magnitude", 0.2);
-    fault.layer = static_cast<int>(obj.get_number("layer", -1.0));
+    fault.layer = int_field(obj, "layer", -1, line_no);
   } else {
     fail(line_no, "unknown fault kind \"" + kind +
                       "\" (want blockage, droop, drift, or excursion)");

@@ -1,18 +1,24 @@
 // Randomized robustness tests: serialization round-trips on random
 // networks, DRC consistency on random carvings, solver robustness on
-// randomly perturbed assemblies, and the daemon's wire parser on mutated
-// request lines. All seeds fixed for reproducibility.
+// randomly perturbed assemblies, and the untrusted-input parsers (the
+// daemon's wire protocol, problem files, scenario files) on mutated input.
+// All seeds fixed for reproducibility.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "flow/flow_solver.hpp"
+#include "geom/problem_io.hpp"
 #include "network/design_rules.hpp"
 #include "network/generators.hpp"
+#include "scenario/scenario_io.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 
@@ -277,6 +283,81 @@ TEST(Fuzz, WireParserSurvivesMutatedRequestLines) {
   // (and their number accessors) are exercised as well as the rejects.
   EXPECT_GT(objects_accepted, kMutants / 20);
   EXPECT_GT(requests_accepted, kMutants / 50);
+}
+
+// ---------------------------------------------- problem and scenario files
+
+constexpr int kTextMutants = 4000;
+
+/// Feeds `corpus`, then kTextMutants fixed-seed mutants of it, to `parse`.
+/// Returning or throwing an lcn error (ContractError, RuntimeError) is fine;
+/// any other escape fails the test. Returns how many mutants parsed.
+template <class Parse>
+int fuzz_text_parser(const std::vector<std::string>& corpus, Parse parse,
+                     std::uint64_t seed) {
+  auto parses = [&](const std::string& text) {
+    try {
+      parse(text);
+      return true;
+    } catch (const ContractError&) {
+    } catch (const RuntimeError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << typeid(e).name() << " escaped: " << e.what()
+                    << "\ninput:\n" << text;
+    }
+    return false;
+  };
+  for (const std::string& text : corpus) parses(text);
+  Rng rng(seed);
+  int accepted = 0;
+  for (int trial = 0;
+       trial < kTextMutants && !::testing::Test::HasFailure(); ++trial) {
+    if (parses(mutate(corpus[rng.next_below(corpus.size())], rng))) {
+      ++accepted;
+    }
+  }
+  return accepted;
+}
+
+TEST(Fuzz, ProblemFileParsersThrowOnlyLcnErrors) {
+  const std::string stack = read_text_file(LCN_DATA_DIR "/demo_stack.txt");
+  const std::string after_grid =
+      stack.substr(stack.find('\n', stack.find("grid")));
+  // The second stack's grid is too large to allocate power maps for.
+  EXPECT_GT(fuzz_text_parser(
+                {stack, "grid 2000000000 2000000000 1" + after_grid},
+                [](const std::string& text) { parse_stack_description(text); },
+                1717),
+            kTextMutants / 20);
+  // The last two units' extents overflow int when added to their origin.
+  const Grid2D grid(51, 51, 100e-6);
+  EXPECT_GT(fuzz_text_parser(
+                {read_text_file(LCN_DATA_DIR "/demo_die0.flp"),
+                 read_text_file(LCN_DATA_DIR "/demo_die1.flp"),
+                 "u 1 1 2147483647 1 1.0\n", "u 1 1 1 2147483647 1.0\n"},
+                [&](const std::string& text) { parse_floorplan(text, grid); },
+                1718),
+            kTextMutants / 20);
+}
+
+TEST(Fuzz, ScenarioParserThrowsOnlyLcnErrors) {
+  const std::vector<std::string> corpus = {
+      "# one line of every type\n"
+      R"({"type":"scenario","model":"2rm","dt":2e-3,"steps":30,"cdu":true})"
+      "\n" R"({"type":"bursty","idle_scale":0.6,"seed":7})" "\n"
+      R"({"type":"phase","scales":"1.0,0.5","pressure":4000})" "\n"
+      R"({"type":"periodic","period":0.1,"duty":0.5})" "\n"
+      R"({"type":"pump","kind":"thermostat","p":6000,"gain":800})" "\n"
+      R"({"type":"fault","kind":"blockage","row":10,"col":10,"radius":2})"
+      "\n",
+      // Integer fields beyond int's range.
+      R"({"type":"scenario","steps":1e999,"cell":-1e999})" "\n"
+      R"({"type":"fault","kind":"excursion","layer":3e9})" "\n"};
+  EXPECT_GT(fuzz_text_parser(
+                corpus,
+                [](const std::string& text) { parse_scenario_text(text); },
+                2718),
+            kTextMutants / 20);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <limits>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/instrument.hpp"
 #include "common/metrics.hpp"
@@ -106,15 +105,6 @@ TEST(MetricsQuantile, OverflowBucketReportsLargestFiniteBound) {
   EXPECT_DOUBLE_EQ(snap.quantile(0.99),
                    metrics::bucket_bound(metrics::kFiniteBuckets - 1));
   EXPECT_TRUE(std::isfinite(snap.quantile(0.99)));
-}
-
-TEST(MetricsQuantile, SampleQuantileMatchesRankDefinition) {
-  const std::vector<double> values{5.0, 1.0, 4.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(metrics::sample_quantile(values, 0.5), 3.0);   // rank 3
-  EXPECT_DOUBLE_EQ(metrics::sample_quantile(values, 0.2), 1.0);   // rank 1
-  EXPECT_DOUBLE_EQ(metrics::sample_quantile(values, 0.21), 2.0);  // rank 2
-  EXPECT_DOUBLE_EQ(metrics::sample_quantile(values, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(metrics::sample_quantile({}, 0.5), 0.0);
 }
 
 TEST(MetricsMerge, BitIdenticalUnderAnyGrouping) {
