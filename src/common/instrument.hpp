@@ -42,6 +42,7 @@ namespace lcn::instrument {
   X(flow_plan_hits, "Flow patterns served from the plan cache")               \
   X(flow_plan_misses, "Flow patterns analyzed fresh")                         \
   X(steady_solves, "Steady-state thermal solves")                             \
+  X(residual_violations, "Solves whose true residual exceeded 10x tolerance") \
   X(pressure_probes, "Algorithm-3 / golden-section pressure probes")          \
   X(cache_hits, "SA evaluator cache hits")                                    \
   X(cache_misses, "SA evaluator cache misses")                                \

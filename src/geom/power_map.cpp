@@ -120,23 +120,54 @@ PowerMap synthesize_power_map(const Grid2D& grid, double total_watts,
                     total_watts * opts.background_fraction});
 
   PowerMap map(grid, blocks);
+  // 3x3 box blur over the in-bounds neighbours. Every cell sums its window in
+  // (dr, dc) row-major order from 0.0, so the clamped edge windows and the
+  // unrolled interior ones round exactly alike.
+  const int rows = grid.rows();
+  const int cols = grid.cols();
+  std::vector<double> blurred(map.watts_.size());
   for (int pass = 0; pass < opts.smoothing_passes; ++pass) {
-    PowerMap blurred(grid, 0.0);
-    for (int r = 0; r < grid.rows(); ++r) {
-      for (int c = 0; c < grid.cols(); ++c) {
-        double sum = 0.0;
-        int count = 0;
-        for (int dr = -1; dr <= 1; ++dr) {
-          for (int dc = -1; dc <= 1; ++dc) {
-            if (!grid.in_bounds(r + dr, c + dc)) continue;
-            sum += map.at(r + dr, c + dc);
-            ++count;
-          }
-        }
-        blurred.at(r, c) = sum / count;
+    const double* src = map.watts_.data();
+    const auto at = [&](int r, int c) {
+      return src[static_cast<std::size_t>(r) * cols + c];
+    };
+    const auto clamped = [&](int r, int c) {
+      const int r0 = std::max(r - 1, 0);
+      const int r1 = std::min(r + 1, rows - 1);
+      const int c0 = std::max(c - 1, 0);
+      const int c1 = std::min(c + 1, cols - 1);
+      double sum = 0.0;
+      for (int rr = r0; rr <= r1; ++rr) {
+        for (int cc = c0; cc <= c1; ++cc) sum += at(rr, cc);
       }
+      return sum / ((r1 - r0 + 1) * (c1 - c0 + 1));
+    };
+    for (int r = 0; r < rows; ++r) {
+      double* out = blurred.data() + static_cast<std::size_t>(r) * cols;
+      if (r == 0 || r == rows - 1) {
+        for (int c = 0; c < cols; ++c) out[c] = clamped(r, c);
+        continue;
+      }
+      out[0] = clamped(r, 0);
+      const double* up = src + static_cast<std::size_t>(r - 1) * cols;
+      const double* mid = up + cols;
+      const double* down = mid + cols;
+      for (int c = 1; c + 1 < cols; ++c) {
+        double sum = 0.0;
+        sum += up[c - 1];
+        sum += up[c];
+        sum += up[c + 1];
+        sum += mid[c - 1];
+        sum += mid[c];
+        sum += mid[c + 1];
+        sum += down[c - 1];
+        sum += down[c];
+        sum += down[c + 1];
+        out[c] = sum / 9;
+      }
+      if (cols > 1) out[cols - 1] = clamped(r, cols - 1);
     }
-    map = blurred;
+    map.watts_.swap(blurred);
   }
   map.scale_to(total_watts);
   return map;

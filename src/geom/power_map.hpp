@@ -9,6 +9,8 @@
 
 namespace lcn {
 
+struct SyntheticPowerOptions;
+
 /// A floorplan unit: `watts` total power spread uniformly over `rect`.
 struct PowerBlock {
   CellRect rect;
@@ -39,6 +41,9 @@ class PowerMap {
   PowerMap transformed(const D4Transform& t) const;
 
  private:
+  friend PowerMap synthesize_power_map(const Grid2D&, double, std::uint64_t,
+                                       const SyntheticPowerOptions&);
+
   Grid2D grid_;
   std::vector<double> watts_;
 };

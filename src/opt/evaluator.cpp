@@ -1,5 +1,6 @@
 #include "opt/evaluator.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -28,27 +29,64 @@ std::variant<Thermal2RM, Thermal4RM> make_sim(const CoolingProblem& problem,
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+std::atomic<int> tight_search_scopes{0};
+
+/// ΔT (or, with `zero` = T_in, T_max) as a search compares it with
+/// `target`: solved loosely, and tightly inside the guard band.
+PressureProbe guarded(SystemEvaluator& eval, double ThermalProbe::*metric,
+                      double target, double zero = 0.0) {
+  return guard_probe(
+      [&eval, metric](double p) {
+        return eval.probe(p, ProbeAccuracy::kSearch).*metric;
+      },
+      [&eval, metric](double p) { return eval.probe(p).*metric; }, target,
+      zero);
+}
+
+PressureProbe guarded_t_max(SystemEvaluator& eval, double target) {
+  return guarded(eval, &ThermalProbe::t_max, target, eval.inlet_temperature());
+}
+
 }  // namespace
+
+ScopedTightSearchProbes::ScopedTightSearchProbes() { ++tight_search_scopes; }
+ScopedTightSearchProbes::~ScopedTightSearchProbes() { --tight_search_scopes; }
 
 SystemEvaluator::SystemEvaluator(const CoolingProblem& problem,
                                  const CoolingNetwork& network,
                                  const SimConfig& config)
-    : sim_(make_sim(problem, network, config)) {}
+    : sim_(make_sim(problem, network, config)),
+      inlet_temperature_(problem.inlet_temperature) {}
 
-ThermalProbe SystemEvaluator::probe(double p_sys) {
+ThermalProbe SystemEvaluator::probe(double p_sys, ProbeAccuracy accuracy) {
   const std::uint64_t key = bits::double_key(p_sys);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  if (const auto it = tight_.find(key); it != tight_.end()) return it->second;
+  if (tight_search_scopes.load(std::memory_order_relaxed) > 0) {
+    accuracy = ProbeAccuracy::kVerdict;
+  }
+  const bool loose = accuracy == ProbeAccuracy::kSearch;
+  const auto seen = loose_.find(key);
+  if (seen != loose_.end() && loose) return seen->second.probe;
   LCN_TRACE_SPAN_FINE("thermal_probe");
-  // Warm-start from the previous probe's field: successive pressures in the
-  // searches are close, so the old temperatures are near the new solution.
+  // Warm-start from the loose field at this pressure, or else from the
+  // previous probe's field: successive pressures in the searches are close,
+  // so the old temperatures are near the new solution.
+  const std::vector<double>& guess =
+      seen != loose_.end() ? seen->second.temperatures : last_temps_;
   const AssembledThermal system = std::visit(
       [p_sys](const auto& sim) { return sim.assemble(p_sys); }, sim_);
-  ThermalField field = solve_steady(system, 1e-9, &last_temps_, &workspace_);
+  ThermalField field = solve_steady(
+      system, loose ? kSearchProbeTolerance : kVerdictTolerance, &guess,
+      &workspace_);
   ++simulations_;
   const ThermalProbe result{field.delta_t, field.t_max};
+  if (loose) {
+    loose_.emplace(key, LooseProbe{result, field.temperatures});
+  } else {
+    if (seen != loose_.end()) loose_.erase(seen);
+    tight_.emplace(key, result);
+  }
   last_temps_ = std::move(field.temperatures);
-  cache_.emplace(key, result);
   return result;
 }
 
@@ -80,8 +118,8 @@ EvalResult evaluate_p1(SystemEvaluator& eval, const DesignConstraints& limits,
                        const PressureSearchOptions& options) {
   // Step 1 (Algorithm 2 line 1): minimize P_sys under the ΔT constraint.
   const PressureSearchResult gradient = minimize_pressure_for_target(
-      [&eval](double p) { return eval.delta_t(p); }, limits.delta_t_max,
-      options);
+      guarded(eval, &ThermalProbe::delta_t, limits.delta_t_max),
+      limits.delta_t_max, options);
   if (!gradient.feasible) return EvalResult::infeasible_result();
 
   double p_sys = gradient.p_sys;
@@ -89,10 +127,10 @@ EvalResult evaluate_p1(SystemEvaluator& eval, const DesignConstraints& limits,
   // Step 2 (lines 3-5): if T*_max is violated, push P_sys up along the
   // monotone h; then re-check both constraints (raising P_sys may have moved
   // ΔT past its minimum back above ΔT*).
-  if (eval.t_max(p_sys) > limits.t_max) {
+  const PressureProbe t_max = guarded_t_max(eval, limits.t_max);
+  if (t_max(p_sys) > limits.t_max) {
     const PressureSearchResult peak = minimize_pressure_monotone(
-        [&eval](double p) { return eval.t_max(p); }, limits.t_max, p_sys,
-        options.p_max, options);
+        t_max, limits.t_max, p_sys, options.p_max, options);
     if (!peak.feasible) return EvalResult::infeasible_result();
     p_sys = peak.p_sys;
   }
@@ -122,25 +160,37 @@ EvalResult evaluate_p2(SystemEvaluator& eval, const DesignConstraints& limits,
   if (p_star < options.p_min) return EvalResult::infeasible_result();
 
   // If P* sits on the falling side of f, it is optimal outright (§5);
-  // detect it with one backward probe, otherwise golden-section.
+  // detect it with one backward probe, otherwise golden-section. Both compare
+  // loose ΔT probes and re-solve tightly the pairs inside the guard band.
+  const PressureProbe loose_dt = [&eval](double p) {
+    return eval.probe(p, ProbeAccuracy::kSearch).delta_t;
+  };
+  const PressureProbe tight_dt = [&eval](double p) { return eval.delta_t(p); };
   double p_opt;
-  const double f_star = eval.delta_t(p_star);
+  double f_star = loose_dt(p_star);
   const double p_back = p_star * 0.95;
-  if (p_back >= options.p_min && eval.delta_t(p_back) >= f_star) {
+  bool falling = false;
+  if (p_back >= options.p_min) {
+    double f_back = loose_dt(p_back);
+    if (within_guard_band(f_back, f_star) ||
+        within_guard_band(f_star, f_back)) {
+      f_star = tight_dt(p_star);
+      f_back = tight_dt(p_back);
+    }
+    falling = f_back >= f_star;
+  }
+  if (falling) {
     p_opt = p_star;
   } else {
     const double lo = std::max(options.p_min, p_star * 1e-3);
-    p_opt = golden_section_min(
-                [&eval](double p) { return eval.delta_t(p); }, lo, p_star,
-                options)
-                .p_sys;
+    p_opt = golden_section_min(loose_dt, lo, p_star, options, tight_dt).p_sys;
   }
 
   // Enforce T*_max: increasing pressure lowers T_max but must stay under P*.
-  if (eval.t_max(p_opt) > limits.t_max) {
+  const PressureProbe t_max = guarded_t_max(eval, limits.t_max);
+  if (t_max(p_opt) > limits.t_max) {
     const PressureSearchResult peak = minimize_pressure_monotone(
-        [&eval](double p) { return eval.t_max(p); }, limits.t_max, p_opt,
-        p_star, options);
+        t_max, limits.t_max, p_opt, p_star, options);
     if (!peak.feasible) return EvalResult::infeasible_result();
     p_opt = peak.p_sys;
   }

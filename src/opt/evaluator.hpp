@@ -3,10 +3,12 @@
 // SystemEvaluator binds a cooling problem to one candidate network (shared
 // across all channel layers, which also satisfies the case-4 matched
 // inlet/outlet rule by construction), builds the flow field once, and serves
-// cached ΔT/T_max probes at any P_sys. evaluate_p1/evaluate_p2 implement the
+// cached ΔT/T_max probes at any P_sys, loose for search steps and tight for
+// verdicts (DESIGN.md §S9). evaluate_p1/evaluate_p2 implement the
 // two-step network evaluations that score a network by its lowest feasible
 // pumping power (Problem 1) or its lowest achievable thermal gradient under
-// a pumping budget (Problem 2).
+// a pumping budget (Problem 2). Their searches read loose probes through the
+// guard band; the operating point they report is solved tightly.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,18 @@ struct ThermalProbe {
   double t_max = 0.0;
 };
 
+/// How tightly a probe is solved (DESIGN.md §S9).
+enum class ProbeAccuracy : std::uint8_t {
+  /// Relative residual kVerdictTolerance: reported numbers, fixed-pressure
+  /// scores and every search decision inside the guard band.
+  kVerdict = 0,
+  /// kSearchProbeTolerance: search steps away from any decision.
+  kSearch = 1,
+};
+
+/// Relative residual of a verdict probe.
+inline constexpr double kVerdictTolerance = 1e-9;
+
 class SystemEvaluator {
  public:
   /// Throws (flow solve) when the network is hydraulically singular —
@@ -43,22 +57,34 @@ class SystemEvaluator {
   SystemEvaluator(const CoolingProblem& problem, const CoolingNetwork& network,
                   const SimConfig& config);
 
-  /// ΔT and T_max at a pressure (cached; one linear solve per new P_sys).
-  ThermalProbe probe(double p_sys);
+  /// ΔT and T_max at a pressure (cached; one linear solve per new P_sys and
+  /// accuracy). A search probe at a pressure already solved tightly returns
+  /// the tight result; a verdict probe at a pressure already solved loosely
+  /// warm-starts from the loose field.
+  ThermalProbe probe(double p_sys,
+                     ProbeAccuracy accuracy = ProbeAccuracy::kVerdict);
 
   double delta_t(double p_sys) { return probe(p_sys).delta_t; }
   double t_max(double p_sys) { return probe(p_sys).t_max; }
 
   double pumping_power(double p_sys) const;
   double system_resistance() const;
+  double inlet_temperature() const { return inlet_temperature_; }
 
   /// Full-resolution field (for maps); bypasses the cache.
   ThermalField field(double p_sys) const;
 
+  /// Linear solves so far, at either accuracy.
   std::size_t simulations() const { return simulations_; }
 
  private:
+  struct LooseProbe {
+    ThermalProbe probe;
+    std::vector<double> temperatures;  ///< warm start for a tight re-solve
+  };
+
   std::variant<Thermal2RM, Thermal4RM> sim_;
+  double inlet_temperature_;
   /// Probe memoization keyed on the bit pattern of P_sys (bits::double_key):
   /// exact-match semantics — two pressures hit the same entry iff they are
   /// the same double (+0.0 and -0.0 differ, NaN never matches itself via
@@ -66,7 +92,10 @@ class SystemEvaluator {
   /// re-probe exact values (bracket endpoints, final operating points), which
   /// is precisely what bit-pattern equality captures; near-misses are cheap
   /// again now that they only refill values on the cached assembly plan.
-  std::unordered_map<std::uint64_t, ThermalProbe> cache_;
+  /// A pressure sits in at most one of the two maps: a tight solve replaces
+  /// the loose entry.
+  std::unordered_map<std::uint64_t, ThermalProbe> tight_;
+  std::unordered_map<std::uint64_t, LooseProbe> loose_;
   std::vector<double> last_temps_;  ///< warm start for the next probe
   /// Preconditioner + Krylov scratch carried across probes (all probe
   /// matrices share the assembly plan's sparsity pattern).
@@ -111,6 +140,17 @@ enum class EvalMode : std::uint8_t {
   kFullP2 = 1,        ///< evaluate_p2 (golden-section under budget)
   kFixedPressure = 2, ///< ΔT at a fixed P_sys (SA stage-1 cost)
   kP2Follower = 3,    ///< evaluate_p2_at (grouped-iteration follower)
+};
+
+/// Test seam: while one is alive, search probes are solved at
+/// kVerdictTolerance, so every value a search reads is tight. Process-wide;
+/// lets a test compare a run with loose probes against one without them.
+class ScopedTightSearchProbes {
+ public:
+  ScopedTightSearchProbes();
+  ~ScopedTightSearchProbes();
+  ScopedTightSearchProbes(const ScopedTightSearchProbes&) = delete;
+  ScopedTightSearchProbes& operator=(const ScopedTightSearchProbes&) = delete;
 };
 
 /// The one way to score a candidate: builds its SystemEvaluator and runs

@@ -1,6 +1,7 @@
 #include "opt/pressure_search.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
@@ -33,6 +34,19 @@ class CountingProbe {
 };
 
 }  // namespace
+
+bool within_guard_band(double value, double reference, double zero) {
+  return std::abs(value - reference) <= kProbeGuardBand * std::abs(value - zero);
+}
+
+PressureProbe guard_probe(PressureProbe loose, PressureProbe tight,
+                          double target, double zero) {
+  return [loose = std::move(loose), tight = std::move(tight), target,
+          zero](double p) {
+    const double value = loose(p);
+    return within_guard_band(value, target, zero) ? tight(p) : value;
+  };
+}
 
 PressureSearchResult minimize_pressure_for_target(
     const PressureProbe& raw_f, double target,
@@ -197,7 +211,8 @@ PressureSearchResult minimize_pressure_monotone(
 
 PressureSearchResult golden_section_min(const PressureProbe& raw_f,
                                         double p_lo, double p_hi,
-                                        const PressureSearchOptions& options) {
+                                        const PressureSearchOptions& options,
+                                        const PressureProbe& tight) {
   LCN_TRACE_SPAN_FINE("golden_section");
   LCN_REQUIRE(p_lo > 0.0 && p_lo < p_hi, "invalid golden-section interval");
   CountingProbe f(raw_f, options.max_probes);
@@ -209,6 +224,14 @@ PressureSearchResult golden_section_min(const PressureProbe& raw_f,
   double x2 = a + kInvPhi * (b - a);
   double f1 = f(x1);
   double f2 = f(x2);
+  // Every comparison of f1 with f2 (and the final pick) goes through here.
+  const auto settle = [&] {
+    if (tight && (within_guard_band(f1, f2) || within_guard_band(f2, f1))) {
+      f1 = tight(x1);
+      f2 = tight(x2);
+    }
+  };
+  settle();
   while ((b - a) > options.rel_precision * b) {
     if (f1 <= f2) {
       b = x2;
@@ -223,6 +246,7 @@ PressureSearchResult golden_section_min(const PressureProbe& raw_f,
       x2 = a + kInvPhi * (b - a);
       f2 = f(x2);
     }
+    settle();
     if (f.count() >= options.max_probes) break;
   }
   PressureSearchResult out;

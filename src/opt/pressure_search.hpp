@@ -28,6 +28,28 @@ struct PressureSearchOptions {
   double rel_flat = 1e-3;
 };
 
+/// Relative residual a search probe is solved to. The searches only compare
+/// probes with a target or with each other, and stop at rel_precision in
+/// P_sys, so most probes need far less than the 1e-9 of a reported number.
+inline constexpr double kSearchProbeTolerance = 1e-6;
+
+/// Guard band around every decision a search takes from a loose probe. A
+/// loose value within kProbeGuardBand·|value − zero| of what it is compared
+/// with is re-solved tightly first; `zero` is 0 for ΔT and T_in for T_max.
+/// The largest loose error measured was 3.5e-3, under a quarter of the band
+/// (DESIGN.md §S9).
+inline constexpr double kProbeGuardBand = 1.5e-2;
+
+/// True when a loose `value` lies too close to `reference` to decide which
+/// side of it the exact value is on.
+bool within_guard_band(double value, double reference, double zero = 0.0);
+
+/// `loose` read against `target`: the loose value, or `tight` when the loose
+/// one lies within the guard band of the target. Comparing the result with
+/// the target then gives the verdict the exact f gives.
+PressureProbe guard_probe(PressureProbe loose, PressureProbe tight,
+                          double target, double zero = 0.0);
+
 struct PressureSearchResult {
   double p_sys = 0.0;
   double f_value = 0.0;   ///< f at p_sys
@@ -53,9 +75,12 @@ PressureSearchResult minimize_pressure_monotone(const PressureProbe& h,
 
 /// Golden-section minimization of a uni-modal (or monotone) f on
 /// [p_lo, p_hi]; returns the minimizing pressure (feasible always true).
+/// With `tight` set, f is a loose probe: two values within the guard band of
+/// each other are both re-read through `tight` before they are compared.
 PressureSearchResult golden_section_min(const PressureProbe& f, double p_lo,
                                         double p_hi,
                                         const PressureSearchOptions& options =
-                                            {});
+                                            {},
+                                        const PressureProbe& tight = {});
 
 }  // namespace lcn

@@ -52,6 +52,8 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
   out.t_margin = -kInf;
   out.dt_margin = -kInf;
   // Own evaluator, not evaluate(): recovery reuses its flow solve and probes.
+  // probe() solves at verdict accuracy — the margins are reported numbers —
+  // and the recovery search's loose probes warm-start from that field.
   try {
     SystemEvaluator eval(system.problem, system.network, options.sim);
     out.at_p = eval.probe(out.p_delivered);

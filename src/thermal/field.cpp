@@ -8,6 +8,7 @@
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "sparse/solvers.hpp"
+#include "sparse/vector_ops.hpp"
 
 namespace lcn {
 
@@ -51,6 +52,18 @@ double advected_heat(const AssembledThermal& system,
   return sum;
 }
 
+bool true_residual_ok(const sparse::CsrMatrix& matrix,
+                      const sparse::Vector& rhs, const sparse::Vector& x,
+                      double rel_tolerance) {
+  sparse::Vector r = matrix.multiply(x);
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = rhs[i] - r[i];
+  const double bnorm = sparse::norm2(rhs);
+  const double rnorm = sparse::norm2(r);
+  if (rnorm <= 10.0 * rel_tolerance * bnorm) return true;
+  instrument::add(instrument::Counter::residual_violations);
+  return false;
+}
+
 void SteadyWorkspace::factor(const sparse::CsrMatrix& matrix) {
   if (precon_.has_value()) {
     precon_->refactor(matrix);
@@ -67,6 +80,15 @@ void SteadyWorkspace::solve(const sparse::CsrMatrix& matrix,
   opts.rel_tolerance = rel_tolerance;
   sparse::solve_general_or_throw(matrix, rhs, x, context, *precon_, krylov_,
                                  opts);
+  if (true_residual_ok(matrix, rhs, x, rel_tolerance)) return;
+  // Restarting from x resets the recurrence to the true residual.
+  opts.rel_tolerance = 0.1 * rel_tolerance;
+  sparse::solve_general_or_throw(matrix, rhs, x, context, *precon_, krylov_,
+                                 opts);
+  if (!true_residual_ok(matrix, rhs, x, rel_tolerance)) {
+    throw RuntimeError(context + ": true residual above 10x the tolerance " +
+                       std::to_string(rel_tolerance) + " after a re-solve");
+  }
 }
 
 ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,

@@ -58,6 +58,14 @@ ThermalField make_field(const AssembledThermal& system,
 double advected_heat(const AssembledThermal& system,
                      const std::vector<double>& temperatures);
 
+/// The true-residual check after every steady solve: ‖b − A·x‖/‖b‖ within
+/// 10× `rel_tolerance`. The Krylov solvers stop on a recurrence that can
+/// drift from the true residual; one SpMV catches that. A failed check
+/// counts one residual_violations.
+bool true_residual_ok(const sparse::CsrMatrix& matrix,
+                      const sparse::Vector& rhs, const sparse::Vector& x,
+                      double rel_tolerance);
+
 /// The one preconditioner set-up and solve path shared by solve_steady() and
 /// TransientStepper: an ILU(0) preconditioner plus the Krylov scratch, kept
 /// across calls. factor() on a matrix that shares the previous one's index
@@ -74,8 +82,10 @@ class SteadyWorkspace {
 
   /// Solve matrix · x = rhs with the preconditioner factor() set up for this
   /// matrix (BiCGSTAB, retry, GMRES fallback); x carries the initial guess in
-  /// and the solution out. Throws lcn::RuntimeError(context) on
-  /// non-convergence.
+  /// and the solution out. A solution that fails true_residual_ok() is
+  /// re-solved from where it stopped, 10× tighter. Throws
+  /// lcn::RuntimeError(context) on non-convergence, or when the re-solve
+  /// still fails the check.
   void solve(const sparse::CsrMatrix& matrix, const sparse::Vector& rhs,
              sparse::Vector& x, const std::string& context,
              double rel_tolerance);

@@ -3,9 +3,13 @@
 // SteadyWorkspace that solve_steady and transient stepping share.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "common/instrument.hpp"
 #include "network/generators.hpp"
+#include "sparse/preconditioner.hpp"
+#include "sparse/solvers.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
 #include "thermal/temp_map.hpp"
@@ -183,6 +187,31 @@ TEST(SteadyWorkspace, SolveBeforeFactorIsAContractError) {
   std::vector<double> x(system.matrix.rows(), 300.0);
   EXPECT_THROW(ws.solve(system.matrix, system.rhs, x, "unfactored", 1e-9),
                ContractError);
+}
+
+TEST(TrueResidual, FiresOnASolveStoppedEarly) {
+  const CoolingProblem problem = small_problem();
+  const Thermal4RM sim(problem, straight_networks(problem));
+  const AssembledThermal system = sim.assemble(2000.0);
+  const sparse::Ilu0Preconditioner ilu(system.matrix);
+
+  // Three BiCGSTAB iterations from the inlet temperature: nowhere near 1e-9.
+  std::vector<double> x(system.matrix.rows(), system.inlet_temperature);
+  sparse::SolveOptions early;
+  early.rel_tolerance = 1e-9;
+  early.max_iterations = 3;
+  EXPECT_FALSE(sparse::bicgstab_solve(system.matrix, system.rhs, x, ilu,
+                                      early)
+                   .converged);
+  const std::uint64_t before = instrument::snapshot().residual_violations;
+  EXPECT_FALSE(true_residual_ok(system.matrix, system.rhs, x, 1e-9));
+  EXPECT_EQ(instrument::snapshot().residual_violations, before + 1);
+
+  // The steady solve's own answer passes the same check without a count.
+  const ThermalField field = solve_steady(system, 1e-9);
+  EXPECT_TRUE(
+      true_residual_ok(system.matrix, system.rhs, field.temperatures, 1e-9));
+  EXPECT_EQ(instrument::snapshot().residual_violations, before + 1);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Unit tests for the pressure searches (S9): Algorithm 3 on analytic f with
-// known crossings/minima, monotone bisection, golden section.
+// known crossings/minima, monotone bisection, golden section, and the guard
+// band that lets them read loose probes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
+#include "common/bits.hpp"
 #include "opt/pressure_search.hpp"
 
 namespace lcn {
@@ -114,6 +118,84 @@ TEST(GoldenSectionMin, MonotoneDecreasingConvergesToUpperBound) {
   const PressureSearchResult result =
       golden_section_min(monotone(500.0, 1.0), 10.0, 5000.0);
   EXPECT_NEAR(result.p_sys, 5000.0, 5000.0 * 0.05);
+}
+
+// A loose probe of `exact`: f·(1 ± eps), the sign a hash of the pressure's
+// bits, so the same pressure always reads the same error. (The searches'
+// pressures have short mantissas; a plain bit of them is nearly constant.)
+PressureProbe noisy(PressureProbe exact, double eps) {
+  return [exact = std::move(exact), eps](double p) {
+    const std::uint64_t mixed = bits::double_key(p) * 0x9E3779B97F4A7C15ULL;
+    const double sign = mixed >> 63 == 0 ? 1.0 : -1.0;
+    return exact(p) * (1.0 + sign * eps);
+  };
+}
+
+TEST(GuardProbe, NoisySearchNeverReturnsAnExactlyInfeasiblePoint) {
+  // Loose errors up to 0.9 of the band still sit on the right side of every
+  // target once the guard re-reads the values near it.
+  int feasible_seen = 0;
+  for (const double eps : {kProbeGuardBand / 3.0, 0.9 * kProbeGuardBand}) {
+    for (const auto& [a, b] :
+         {std::pair{1000.0, 0.002}, std::pair{200.0, 0.01},
+          std::pair{5e4, 1e-4}, std::pair{500.0, 0.0}}) {
+      const PressureProbe exact = unimodal(a, b);
+      const double f_min = b > 0.0 ? 2.0 * std::sqrt(a * b) : 0.0;
+      // Targets from just below the minimum up through the valley, where
+      // probes crowd the target and the noise flips sides without a guard.
+      for (double target = f_min * 0.98 + 0.05; target < f_min * 3.0 + 5.0;
+           target *= 1.013) {
+        const PressureSearchResult r = minimize_pressure_for_target(
+            guard_probe(noisy(exact, eps), exact, target), target);
+        if (!r.feasible) continue;
+        ++feasible_seen;
+        EXPECT_LE(exact(r.p_sys), target)
+            << "a=" << a << " b=" << b << " target=" << target
+            << " eps=" << eps;
+        const PressureSearchResult m = minimize_pressure_monotone(
+            guard_probe(noisy(monotone(a, 1.0), eps), monotone(a, 1.0),
+                        target + 1.0),
+            target + 1.0, 1.0, 1e7);
+        if (m.feasible) {
+          EXPECT_LE(monotone(a, 1.0)(m.p_sys), target + 1.0);
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible_seen, 100);
+}
+
+TEST(GuardProbe, NoisyGoldenSectionFollowsTheExactOne) {
+  // With the loose error under a third of the band, every comparison the
+  // band lets through is ordered as the exact values are, so the search
+  // takes the exact search's path step for step.
+  for (const auto& [a, b] : {std::pair{1000.0, 0.002}, std::pair{200.0, 0.01},
+                             std::pair{5e4, 1e-4}}) {
+    const PressureProbe exact = unimodal(a, b);
+    const PressureSearchResult want = golden_section_min(exact, 1.0, 1e6);
+    const PressureSearchResult got = golden_section_min(
+        noisy(exact, kProbeGuardBand / 3.0), 1.0, 1e6, {}, exact);
+    EXPECT_EQ(got.p_sys, want.p_sys) << "a=" << a << " b=" << b;
+    EXPECT_EQ(got.probes, want.probes);
+  }
+}
+
+TEST(GuardProbe, BandIsRelativeToTheZero) {
+  // T_max 350 K against a 352 K limit with T_in = 300 K: 2 K is 4% of the
+  // 50 K rise — outside the band — but well inside 1% of 350 K.
+  EXPECT_FALSE(within_guard_band(350.0, 352.0, 300.0));
+  EXPECT_TRUE(within_guard_band(350.0, 352.0));
+  EXPECT_TRUE(within_guard_band(350.0, 350.4, 300.0));
+  int tight_reads = 0;
+  const PressureProbe probe = guard_probe(
+      [](double) { return 350.0; },
+      [&tight_reads](double) {
+        ++tight_reads;
+        return 349.0;
+      },
+      350.4, 300.0);
+  EXPECT_EQ(probe(1.0), 349.0);
+  EXPECT_EQ(tight_reads, 1);
 }
 
 // Property sweep: Algorithm 3 returns the true crossing for many (a, b,
