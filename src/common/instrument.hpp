@@ -44,6 +44,8 @@ namespace lcn::instrument {
   X(steady_solves, "Steady-state thermal solves")                             \
   X(residual_violations, "Solves whose true residual exceeded 10x tolerance") \
   X(pressure_probes, "Algorithm-3 / golden-section pressure probes")          \
+  X(search_entries, "Algorithm-3 searches entered at a hinted bracket")       \
+  X(search_entry_fallbacks, "Hinted searches that ran the cold walk instead") \
   X(cache_hits, "SA evaluator cache hits")                                    \
   X(cache_misses, "SA evaluator cache misses")                                \
   X(assembly_micros, "Wall time in thermal assembly, microseconds")           \

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/assert.hpp"
-#include "common/bits.hpp"
 #include "common/instrument.hpp"
 #include "common/trace.hpp"
 
@@ -59,35 +59,56 @@ SystemEvaluator::SystemEvaluator(const CoolingProblem& problem,
       inlet_temperature_(problem.inlet_temperature) {}
 
 ThermalProbe SystemEvaluator::probe(double p_sys, ProbeAccuracy accuracy) {
-  const std::uint64_t key = bits::double_key(p_sys);
-  if (const auto it = tight_.find(key); it != tight_.end()) return it->second;
+  // A NaN key would break the map's ordering.
+  LCN_REQUIRE(p_sys > 0.0 && std::isfinite(p_sys),
+              "probe pressure must be positive and finite");
   if (tight_search_scopes.load(std::memory_order_relaxed) > 0) {
     accuracy = ProbeAccuracy::kVerdict;
   }
-  const bool loose = accuracy == ProbeAccuracy::kSearch;
-  const auto seen = loose_.find(key);
-  if (seen != loose_.end() && loose) return seen->second.probe;
+  const auto seen = solved_.find(p_sys);
+  if (seen != solved_.end() &&
+      (seen->second.accuracy == ProbeAccuracy::kVerdict ||
+       accuracy == ProbeAccuracy::kSearch)) {
+    return seen->second.probe;
+  }
   LCN_TRACE_SPAN_FINE("thermal_probe");
-  // Warm-start from the loose field at this pressure, or else from the
-  // previous probe's field: successive pressures in the searches are close,
-  // so the old temperatures are near the new solution.
-  const std::vector<double>& guess =
-      seen != loose_.end() ? seen->second.temperatures : last_temps_;
+  const std::vector<double> guess = initial_guess(p_sys);
   const AssembledThermal system = std::visit(
       [p_sys](const auto& sim) { return sim.assemble(p_sys); }, sim_);
   ThermalField field = solve_steady(
-      system, loose ? kSearchProbeTolerance : kVerdictTolerance, &guess,
-      &workspace_);
+      system,
+      accuracy == ProbeAccuracy::kSearch ? kSearchProbeTolerance
+                                         : kVerdictTolerance,
+      guess.empty() ? nullptr : &guess, &workspace_);
   ++simulations_;
   const ThermalProbe result{field.delta_t, field.t_max};
-  if (loose) {
-    loose_.emplace(key, LooseProbe{result, field.temperatures});
-  } else {
-    if (seen != loose_.end()) loose_.erase(seen);
-    tight_.emplace(key, result);
-  }
-  last_temps_ = std::move(field.temperatures);
+  solved_.insert_or_assign(
+      p_sys, Solved{result, accuracy, std::move(field.temperatures)});
   return result;
+}
+
+std::vector<double> SystemEvaluator::initial_guess(double p_sys) const {
+  const auto above = solved_.lower_bound(p_sys);
+  if (above != solved_.end() && above->first == p_sys) {
+    return above->second.temperatures;  // the loose field here
+  }
+  if (above == solved_.begin()) {
+    return above == solved_.end() ? std::vector<double>{}
+                                  : above->second.temperatures;
+  }
+  const auto below = std::prev(above);
+  if (above == solved_.end()) return below->second.temperatures;
+  // The coolant's temperature rise scales as 1/Q ∝ 1/P, so interpolate the
+  // two bracketing fields linearly in 1/P.
+  const double w = (1.0 / p_sys - 1.0 / above->first) /
+                   (1.0 / below->first - 1.0 / above->first);
+  const std::vector<double>& lo = below->second.temperatures;
+  const std::vector<double>& hi = above->second.temperatures;
+  std::vector<double> guess(hi.size());
+  for (std::size_t i = 0; i < guess.size(); ++i) {
+    guess[i] = hi[i] + w * (lo[i] - hi[i]);
+  }
+  return guess;
 }
 
 double SystemEvaluator::pumping_power(double p_sys) const {
@@ -115,11 +136,12 @@ EvalResult EvalResult::infeasible_result() {
 }
 
 EvalResult evaluate_p1(SystemEvaluator& eval, const DesignConstraints& limits,
-                       const PressureSearchOptions& options) {
+                       const PressureSearchOptions& options,
+                       double entry_hint) {
   // Step 1 (Algorithm 2 line 1): minimize P_sys under the ΔT constraint.
   const PressureSearchResult gradient = minimize_pressure_for_target(
       guarded(eval, &ThermalProbe::delta_t, limits.delta_t_max),
-      limits.delta_t_max, options);
+      limits.delta_t_max, options, entry_hint);
   if (!gradient.feasible) return EvalResult::infeasible_result();
 
   double p_sys = gradient.p_sys;
@@ -229,6 +251,22 @@ EvalResult evaluate_p2_at(SystemEvaluator& eval,
   return out;
 }
 
+double p1_entry_hint(const CoolingProblem& problem,
+                     const CoolingNetwork& network,
+                     const DesignConstraints& limits,
+                     const PressureSearchOptions& search) {
+  try {
+    SystemEvaluator coarse(problem, network, SimConfig{});
+    return minimize_pressure_for_target(
+               guarded(coarse, &ThermalProbe::delta_t, limits.delta_t_max),
+               limits.delta_t_max, search)
+        .p_sys;
+  } catch (const RuntimeError&) {
+    instrument::add(instrument::Counter::search_entry_fallbacks);
+    return 0.0;
+  }
+}
+
 EvalResult evaluate(const CoolingProblem& problem,
                     const CoolingNetwork& network,
                     const DesignConstraints& limits, EvalMode mode,
@@ -238,7 +276,13 @@ EvalResult evaluate(const CoolingProblem& problem,
     SystemEvaluator eval(problem, network, sim);
     switch (mode) {
       case EvalMode::kFullP1:
-        return evaluate_p1(eval, limits, search);
+        // Built after `eval`, so a network that cannot be evaluated costs
+        // no 2RM search.
+        return evaluate_p1(eval, limits, search,
+                           sim.model == ThermalModelKind::k4RM
+                               ? p1_entry_hint(problem, network, limits,
+                                               search)
+                               : 0.0);
       case EvalMode::kFullP2:
         return evaluate_p2(eval, limits, search);
       case EvalMode::kP2Follower:

@@ -12,9 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <variant>
+#include <vector>
 
 #include "network/cooling_network.hpp"
 #include "opt/pressure_search.hpp"
@@ -57,10 +58,12 @@ class SystemEvaluator {
   SystemEvaluator(const CoolingProblem& problem, const CoolingNetwork& network,
                   const SimConfig& config);
 
-  /// ΔT and T_max at a pressure (cached; one linear solve per new P_sys and
-  /// accuracy). A search probe at a pressure already solved tightly returns
-  /// the tight result; a verdict probe at a pressure already solved loosely
-  /// warm-starts from the loose field.
+  /// ΔT and T_max at a positive, finite pressure (cached; one linear solve
+  /// per new P_sys and accuracy). A search probe at a pressure already solved
+  /// tightly returns the tight result. A new solve warm-starts from the loose
+  /// field at the same pressure, else from the 1/P interpolation of the
+  /// nearest solved fields below and above, else from the nearest solved
+  /// field, else from T_in.
   ThermalProbe probe(double p_sys,
                      ProbeAccuracy accuracy = ProbeAccuracy::kVerdict);
 
@@ -78,25 +81,21 @@ class SystemEvaluator {
   std::size_t simulations() const { return simulations_; }
 
  private:
-  struct LooseProbe {
+  struct Solved {
     ThermalProbe probe;
-    std::vector<double> temperatures;  ///< warm start for a tight re-solve
+    ProbeAccuracy accuracy;
+    std::vector<double> temperatures;  ///< warm starts for later solves
   };
+
+  /// The warm start of a new solve at p_sys (DESIGN.md §S9); empty = T_in.
+  std::vector<double> initial_guess(double p_sys) const;
 
   std::variant<Thermal2RM, Thermal4RM> sim_;
   double inlet_temperature_;
-  /// Probe memoization keyed on the bit pattern of P_sys (bits::double_key):
-  /// exact-match semantics — two pressures hit the same entry iff they are
-  /// the same double (+0.0 and -0.0 differ, NaN never matches itself via
-  /// arithmetic but distinct NaN payloads get distinct entries). The searches
-  /// re-probe exact values (bracket endpoints, final operating points), which
-  /// is precisely what bit-pattern equality captures; near-misses are cheap
-  /// again now that they only refill values on the cached assembly plan.
-  /// A pressure sits in at most one of the two maps: a tight solve replaces
-  /// the loose entry.
-  std::unordered_map<std::uint64_t, ThermalProbe> tight_;
-  std::unordered_map<std::uint64_t, LooseProbe> loose_;
-  std::vector<double> last_temps_;  ///< warm start for the next probe
+  /// Every solved pressure, in order. Exact-match memoization: the searches
+  /// re-probe exact values (bracket endpoints, final operating points). A
+  /// tight entry answers both accuracies; a tight solve replaces a loose one.
+  std::map<double, Solved> solved_;
   /// Preconditioner + Krylov scratch carried across probes (all probe
   /// matrices share the assembly plan's sparsity pattern).
   SteadyWorkspace workspace_;
@@ -117,9 +116,20 @@ struct EvalResult {
 };
 
 /// Problem 1 (Algorithm 2): lowest feasible pumping power under ΔT* and
-/// T*_max.
+/// T*_max. An `entry_hint` > 0 is passed to the ΔT search
+/// (minimize_pressure_for_target), whose result it leaves unchanged.
 EvalResult evaluate_p1(SystemEvaluator& eval, const DesignConstraints& limits,
-                       const PressureSearchOptions& options = {});
+                       const PressureSearchOptions& options = {},
+                       double entry_hint = 0.0);
+
+/// Where a 4RM Problem-1 search enters Algorithm 3 (paper §4.2, Fig. 9: 2RM
+/// tracks 4RM closely): the P_sys a 2RM (SimConfig{}) ΔT search of the same
+/// network returns. 0, no hint, when that search fails; a failure counts as
+/// a search_entry_fallbacks and never becomes a verdict.
+double p1_entry_hint(const CoolingProblem& problem,
+                     const CoolingNetwork& network,
+                     const DesignConstraints& limits,
+                     const PressureSearchOptions& search);
 
 /// Problem 2 (§5): lowest ΔT under W*_pump and T*_max. The pumping budget
 /// bounds the pressure at P* = sqrt(W*·R_sys); golden-section finds min f on
@@ -155,8 +165,9 @@ class ScopedTightSearchProbes {
 
 /// The one way to score a candidate: builds its SystemEvaluator and runs
 /// `mode` (`pressure` is the operating point of kFixedPressure, which checks
-/// no constraint, and kP2Follower). A network the solvers cannot evaluate
-/// scores infeasible_result() and bumps the eval_failures counter.
+/// no constraint, and kP2Follower). A 4RM kFullP1 search enters at
+/// p1_entry_hint. A network the solvers cannot evaluate scores
+/// infeasible_result() and bumps the eval_failures counter.
 EvalResult evaluate(const CoolingProblem& problem,
                     const CoolingNetwork& network,
                     const DesignConstraints& limits, EvalMode mode,

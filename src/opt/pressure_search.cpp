@@ -50,47 +50,74 @@ PressureProbe guard_probe(PressureProbe loose, PressureProbe tight,
 
 PressureSearchResult minimize_pressure_for_target(
     const PressureProbe& raw_f, double target,
-    const PressureSearchOptions& options) {
+    const PressureSearchOptions& options, double entry_hint) {
   LCN_TRACE_SPAN_FINE("pressure_search");
   LCN_REQUIRE(options.p_min > 0.0 && options.p_min < options.p_max,
               "invalid pressure bounds");
   CountingProbe f(raw_f, options.max_probes);
   PressureSearchResult out;
+  double p0 = 0.0;
+  double f0 = 0.0;
+  double step = 0.0;
+  double p1 = 0.0;
+  double f1 = 0.0;
+
+  // --- Hinted entry: walk the cold grid, unprobed, to the pair (p0, p1)
+  // that brackets the hint, stopping before any point the cold walk would
+  // clamp to p_max, then check the state the cold walk would be in there.
+  bool entered = false;
+  if (entry_hint > 0.0) {
+    instrument::add(instrument::Counter::search_entries);
+    step = options.p_init * options.r_init;
+    p0 = options.p_init + step;
+    step *= 2.0;
+    p1 = p0 + step;
+    if (p1 < options.p_max) {
+      while (p1 < entry_hint && p1 + 2.0 * step < options.p_max) {
+        p0 = p1;
+        step *= 2.0;
+        p1 = p0 + step;
+      }
+      f0 = f(p0);
+      f1 = f(p1);
+      entered = f0 > target && f0 >= f1;
+    }
+    if (!entered) instrument::add(instrument::Counter::search_entry_fallbacks);
+  }
 
   // --- Initialization (Algorithm 3 lines 1-4): ensure f(P0) > target and
   // f(P0) >= f(P1), i.e. P0 sits left of both the *left* crossing and the
   // minimum. Landing on the rising (right) side loops back to the halving
   // step ("go to 2"), walking past the feasible valley to its left edge.
-  double p0 = options.p_init;
-  double f0 = f(p0);
-  double step;
-  double p1;
-  double f1;
-  for (;;) {
-    bool hit_floor = false;
-    while (f0 <= target) {  // line 2
-      if (p0 / 2.0 < options.p_min) {
-        hit_floor = true;
-        break;
+  if (!entered) {
+    p0 = options.p_init;
+    f0 = f(p0);
+    for (;;) {
+      bool hit_floor = false;
+      while (f0 <= target) {  // line 2
+        if (p0 / 2.0 < options.p_min) {
+          hit_floor = true;
+          break;
+        }
+        p0 /= 2.0;
+        f0 = f(p0);
       }
-      p0 /= 2.0;
+      if (hit_floor) {
+        // Everything down to the numerical floor is feasible.
+        out.p_sys = p0;
+        out.f_value = f0;
+        out.feasible = true;
+        out.probes = f.count();
+        return out;
+      }
+      step = p0 * options.r_init;  // line 3
+      p1 = p0 + step;
+      f1 = f(p1);
+      if (f0 >= f1) break;  // left of the minimum: proceed to expansion
+      if (p0 / 2.0 < options.p_min) break;  // minimum hugs the floor: accept
+      p0 /= 2.0;  // line 4: rising side — move left and go to 2
       f0 = f(p0);
     }
-    if (hit_floor) {
-      // Everything down to the numerical floor is feasible.
-      out.p_sys = p0;
-      out.f_value = f0;
-      out.feasible = true;
-      out.probes = f.count();
-      return out;
-    }
-    step = p0 * options.r_init;  // line 3
-    p1 = p0 + step;
-    f1 = f(p1);
-    if (f0 >= f1) break;  // left of the minimum: proceed to expansion
-    if (p0 / 2.0 < options.p_min) break;  // minimum hugs the floor: accept
-    p0 /= 2.0;  // line 4: rising side — move left and go to 2
-    f0 = f(p0);
   }
 
   // --- Expansion / contraction (lines 5-11).

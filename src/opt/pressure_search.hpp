@@ -60,10 +60,20 @@ struct PressureSearchResult {
 /// Algorithm 3: the smallest P_sys with f(P_sys) <= target when one exists
 /// (returns feasible=true), otherwise the P_sys minimizing f
 /// (feasible=false — which proves infeasibility for uni-modal f).
+///
+/// `entry_hint` > 0 is a guess at the crossing. The search then first probes
+/// the pair (g_k, g_k+1), k >= 1, of the cold expansion grid (p_init,
+/// p_init·(1 + r_init), then doubling steps) that brackets the hint. When
+/// f(g_k) > target and f(g_k) >= f(g_k+1), every grid point below g_k was
+/// infeasible and descending for uni-modal f, so the cold walk would reach
+/// that pair with the same state: the search continues from it (with the
+/// plateau count restarted) and returns the cold search's point. Otherwise it
+/// runs the cold walk, which revisits the two probes.
 PressureSearchResult minimize_pressure_for_target(const PressureProbe& f,
                                                   double target,
                                                   const PressureSearchOptions&
-                                                      options = {});
+                                                      options = {},
+                                                  double entry_hint = 0.0);
 
 /// Monotone bisection for decreasing h: the smallest P_sys in [p_lo, p_hi]
 /// with h(P_sys) <= target. feasible=false when even h(p_hi) > target.

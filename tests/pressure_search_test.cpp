@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "opt/pressure_search.hpp"
@@ -83,6 +84,60 @@ TEST(MinimizePressureForTarget, UsesFewProbes) {
   };
   minimize_pressure_for_target(f, 5.0);
   EXPECT_LT(count, 45);
+}
+
+// A hinted search enters the cold grid (2, 3, 5, 9, 17, 33, ... kPa) at the
+// pair that brackets the hint. Wherever the hint falls — below, at or above
+// the crossing, on a grid point, past p_max, on the rising side — and
+// whether the target is reachable or not, it returns the cold search's
+// point bit for bit, and a failed entry check costs at most its two probes.
+TEST(MinimizePressureForTarget, HintedWalkReturnsTheColdWalksPoint) {
+  struct Oracle {
+    PressureProbe f;
+    double target;
+    double crossing;  ///< smallest p with f(p) = target; 0 when none
+  };
+  // unimodal(1e5, 1e-4): minimum 6.32 at 31.6 kPa, crossings near 11 kPa
+  // (target 10) and 5 kPa (target 20); f(2 kPa) = 50.2 < 60.
+  const auto left_root = [](double a, double b, double t) {
+    return (t - std::sqrt(t * t - 4.0 * a * b)) / (2.0 * b);
+  };
+  const std::vector<Oracle> oracles = {
+      {unimodal(1e5, 1e-4), 10.0, left_root(1e5, 1e-4, 10.0)},
+      {unimodal(1e5, 1e-4), 20.0, left_root(1e5, 1e-4, 20.0)},
+      {unimodal(1e5, 1e-4), 60.0, left_root(1e5, 1e-4, 60.0)},
+      {unimodal(1e5, 1e-4), 6.0, 0.0},
+      {unimodal(1e5, 1e-4), 6.4, left_root(1e5, 1e-4, 6.4)},
+      {monotone(1e5, 3.0), 10.0, 1e5 / 7.0},
+      {monotone(1e5, 3.0), 3.5, 2e5},
+      {monotone(1e5, 3.0), 2.0, 0.0},
+  };
+  int entered_with_fewer_probes = 0;
+  for (const Oracle& o : oracles) {
+    const PressureSearchResult cold =
+        minimize_pressure_for_target(o.f, o.target);
+    std::vector<double> hints = {9000.0, 17000.0, 4e4, 1e9};
+    if (o.crossing > 0.0) {
+      for (const double scale : {0.3, 0.9, 1.0, 1.1, 3.0}) {
+        hints.push_back(scale * o.crossing);
+      }
+    }
+    for (const double hint : hints) {
+      const PressureSearchResult hinted =
+          minimize_pressure_for_target(o.f, o.target, {}, hint);
+      SCOPED_TRACE(testing::Message() << "target " << o.target << " hint "
+                                      << hint);
+      EXPECT_EQ(hinted.p_sys, cold.p_sys);
+      EXPECT_EQ(hinted.f_value, cold.f_value);
+      EXPECT_EQ(hinted.feasible, cold.feasible);
+      EXPECT_LE(hinted.probes, cold.probes + 2);
+      if (o.crossing > 0.0 && hint == o.crossing && o.crossing > 9000.0) {
+        EXPECT_LT(hinted.probes, cold.probes);
+        ++entered_with_fewer_probes;
+      }
+    }
+  }
+  EXPECT_GE(entered_with_fewer_probes, 3);
 }
 
 TEST(MinimizePressureMonotone, BisectsToCrossing) {

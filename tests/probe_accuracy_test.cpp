@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/instrument.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
@@ -45,12 +47,25 @@ TEST(SystemEvaluator, LooseAndTightProbesAreCachedApart) {
   EXPECT_EQ(eval.simulations(), 2u);
 }
 
+TEST(SystemEvaluator, RejectsPressuresTheOrderedStoreCannotHold) {
+  const BenchmarkCase bench = make_iccad_case(1);
+  SystemEvaluator eval(bench.problem, uniform_tree(bench),
+                       SimConfig{ThermalModelKind::k2RM, 4});
+  for (const double p : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 0.0, -0.0,
+                         -5000.0}) {
+    EXPECT_THROW(eval.probe(p, ProbeAccuracy::kSearch), ContractError) << p;
+    EXPECT_THROW(eval.probe(p), ContractError) << p;
+  }
+  EXPECT_EQ(eval.simulations(), 0u);
+}
+
 // The guard band must exceed the loose error with margin. On the uniform
 // tree, for both models, on a two-die and the three-die case, over the
-// pressures the searches visit, from a cold start and warm-started from a
-// neighbouring probe (0.8 P, as a bisection step leaves it): the relative
-// error of a loose probe in ΔT and in T_max − T_in stays within a third of
-// the band.
+// pressures the searches visit, from a cold start, warm-started from a
+// neighbouring probe (0.8 P, as a bisection step leaves it) and from the 1/P
+// interpolation of the probes at 0.8 P and 1.25 P: the relative error of a
+// loose probe in ΔT and in T_max − T_in stays within a third of the band.
 TEST(ProbeAccuracy, LooseErrorStaysWithinAThirdOfTheGuardBand) {
   double worst = 0.0;
   for (const int id : {1, 4}) {
@@ -65,7 +80,13 @@ TEST(ProbeAccuracy, LooseErrorStaysWithinAThirdOfTheGuardBand) {
         SystemEvaluator cold(bench.problem, net, sim);
         SystemEvaluator warm(bench.problem, net, sim);
         warm.probe(0.8 * p, ProbeAccuracy::kSearch);
-        for (SystemEvaluator* loose : {&cold, &warm}) {
+        SystemEvaluator interpolated(bench.problem, net, sim);
+        interpolated.probe(0.8 * p, ProbeAccuracy::kSearch);
+        interpolated.probe(1.25 * p, ProbeAccuracy::kSearch);
+        for (SystemEvaluator* loose : {&cold, &warm, &interpolated}) {
+          const char* start = loose == &cold   ? " cold"
+                              : loose == &warm ? " warm"
+                                               : " interpolated";
           const ThermalProbe got = loose->probe(p, ProbeAccuracy::kSearch);
           const double dt_err =
               std::abs(got.delta_t - want.delta_t) / want.delta_t;
@@ -73,10 +94,10 @@ TEST(ProbeAccuracy, LooseErrorStaysWithinAThirdOfTheGuardBand) {
               std::abs(got.t_max - want.t_max) / (want.t_max - t_in);
           EXPECT_LE(dt_err, kProbeGuardBand / 3.0)
               << "case " << id << " model " << static_cast<int>(sim.model)
-              << " P " << p << (loose == &cold ? " cold" : " warm");
+              << " P " << p << start;
           EXPECT_LE(rise_err, kProbeGuardBand / 3.0)
               << "case " << id << " model " << static_cast<int>(sim.model)
-              << " P " << p << (loose == &cold ? " cold" : " warm");
+              << " P " << p << start;
           worst = std::max({worst, dt_err, rise_err});
         }
       }
@@ -85,6 +106,43 @@ TEST(ProbeAccuracy, LooseErrorStaysWithinAThirdOfTheGuardBand) {
   // The loose probes are loose: a tolerance that already solved tightly
   // would pass the bound above without measuring anything.
   EXPECT_GT(worst, 1e-6);
+}
+
+// Entering Algorithm 3 at the 2RM crossing skips the cold grid's probes
+// below it and leaves the 4RM Problem-1 result bit for bit where the cold
+// search puts it.
+TEST(ProbeAccuracy, TwoRmHintLeavesProblemOneResultBitIdentical) {
+  for (const int id : {1, 4}) {
+    const BenchmarkCase bench = make_iccad_case(id);
+    const CoolingNetwork net = uniform_tree(bench);
+    const SimConfig fine{ThermalModelKind::k4RM, 1};
+    const double hint =
+        p1_entry_hint(bench.problem, net, bench.constraints, {});
+    ASSERT_GT(hint, 0.0) << "case " << id;
+    SystemEvaluator cold(bench.problem, net, fine);
+    SystemEvaluator hinted(bench.problem, net, fine);
+    const EvalResult want = evaluate_p1(cold, bench.constraints);
+    const EvalResult got = evaluate_p1(hinted, bench.constraints, {}, hint);
+    EXPECT_TRUE(want.feasible) << "case " << id;
+    EXPECT_EQ(got.feasible, want.feasible) << "case " << id;
+    EXPECT_EQ(got.p_sys, want.p_sys) << "case " << id;
+    EXPECT_EQ(got.w_pump, want.w_pump) << "case " << id;
+    EXPECT_LT(hinted.simulations(), cold.simulations()) << "case " << id;
+  }
+}
+
+TEST(ProbeAccuracy, FourRmProblemOneEvaluationEntersAtTheHint) {
+  const BenchmarkCase bench = make_iccad_case(1);
+  const instrument::Snapshot before = instrument::snapshot();
+  const EvalResult r =
+      evaluate(bench.problem, uniform_tree(bench), bench.constraints,
+               EvalMode::kFullP1, SimConfig{ThermalModelKind::k4RM, 1}, {});
+  const instrument::Snapshot used =
+      instrument::delta(before, instrument::snapshot());
+  EXPECT_TRUE(r.feasible);
+  EXPECT_EQ(used.search_entries, 1u);
+  EXPECT_EQ(used.search_entry_fallbacks, 0u);
+  EXPECT_EQ(used.eval_failures, 0u);
 }
 
 /// One 2RM iteration, then a one-neighbour 4RM sign-off.
