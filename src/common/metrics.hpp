@@ -57,6 +57,7 @@ namespace lcn::metrics {
   X(cg_seconds, "Conjugate-gradient solve wall time")                       \
   X(bicgstab_seconds, "BiCGSTAB solve wall time")                           \
   X(gmres_seconds, "GMRES solve wall time")                                 \
+  X(ilu_factor_seconds, "ILU(0) preconditioner factorization wall time")    \
   X(spmv_batch_seconds, "Sparse matrix-vector multiply wall time")          \
   X(cache_lookup_seconds, "SA evaluator cache lookup wall time")            \
   X(scenario_step_seconds, "Dynamic-scenario engine step wall time")        \

@@ -170,26 +170,30 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   r0 = r;
   ws.p.assign(n, 0.0);
   ws.v.assign(n, 0.0);
+  ws.s.resize(n);
   Vector& p = ws.p;
   Vector& v = ws.v;
+  Vector& s = ws.s;
   Vector& phat = ws.phat;
   Vector& shat = ws.shat;
-  Vector& s = ws.s;
   Vector& t = ws.t;
 
   double rho = 1.0;
   double alpha = 1.0;
   double omega = 1.0;
+  // r0 · r for the next iteration, carried out of the x/r pass. Every
+  // reduction below is serial and sums in element order, so the iterates
+  // are those of the one-kernel-per-step loop at any thread count.
+  double rho_next = dot(r0, r);
 
   const std::size_t max_iters = effective_max_iters(opts, n);
   for (std::size_t it = 0; it < max_iters; ++it) {
-    const double rho_next = dot(r0, r);
     if (std::abs(rho_next) < 1e-300) break;  // breakdown
+    // Pass 1: p = r + beta * (p - omega * v).
     if (it == 0) {
       p = r;
     } else {
       const double beta = (rho_next / rho) * (alpha / omega);
-      // p = r + beta * (p - omega * v)
       for (std::size_t i = 0; i < n; ++i) {
         p[i] = r[i] + beta * (p[i] - omega * v[i]);
       }
@@ -202,29 +206,44 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
     if (std::abs(r0v) < 1e-300) break;
     alpha = rho / r0v;
 
-    s = r;
-    axpy(-alpha, v, s);
-    if (norm2(s) / bnorm < opts.rel_tolerance) {
+    // Pass 2: s = r - alpha * v and ||s||^2.
+    double ss = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = r[i] - alpha * v[i];
+      ss += s[i] * s[i];
+    }
+    if (std::sqrt(ss) / bnorm < opts.rel_tolerance) {
       axpy(alpha, phat, x);
       report.converged = true;
       report.iterations = it + 1;
-      report.relative_residual = norm2(s) / bnorm;
+      report.relative_residual = std::sqrt(ss) / bnorm;
       finish_history(report, recording);
       return report;
     }
 
     m.apply(s, shat);
     a.multiply(shat, t);
-    const double tt = dot(t, t);
+    double tt = 0.0;
+    double ts = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      tt += t[i] * t[i];
+      ts += t[i] * s[i];
+    }
     if (tt < 1e-300) break;
-    omega = dot(t, s) / tt;
+    omega = ts / tt;
 
-    axpy(alpha, phat, x);
-    axpy(omega, shat, x);
-    r = s;
-    axpy(-omega, t, r);
+    // Pass 3: x += alpha * phat + omega * shat (two roundings, in that
+    // order), r = s - omega * t, ||r||^2 and the next r0 · r.
+    double rr = 0.0;
+    rho_next = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = (x[i] + alpha * phat[i]) + omega * shat[i];
+      r[i] = s[i] - omega * t[i];
+      rr += r[i] * r[i];
+      rho_next += r0[i] * r[i];
+    }
 
-    const double rel = norm2(r) / bnorm;
+    const double rel = std::sqrt(rr) / bnorm;
     if (recording) report.residual_history.push_back(rel);
     if (rel < opts.rel_tolerance) {
       report.converged = true;

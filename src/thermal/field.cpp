@@ -65,6 +65,9 @@ bool true_residual_ok(const sparse::CsrMatrix& matrix,
 }
 
 void SteadyWorkspace::factor(const sparse::CsrMatrix& matrix) {
+  LCN_TRACE_SPAN_FINE("ilu_factor");
+  const metrics::ScopedLatency latency(metrics::Hist::ilu_factor_seconds,
+                                       metrics::kFine);
   if (precon_.has_value()) {
     precon_->refactor(matrix);
   } else {

@@ -1,9 +1,10 @@
 // Timing contracts: the speed-ups the symbolic/numeric split (DESIGN.md
-// §S18), the transient stepper (§S23), the metrics registry (§S24) and the
-// fair-share scheduler (§S22) exist for. Each compares two wall times taken
-// in one process, so the tests build into their own binary and run with
-// RUN_SERIAL: a parallel ctest run would skew the ratios. Workload sizes are
-// small smoke sizes; the thresholds leave room for a noisy host.
+// §S18), the split ILU(0) and fused BiCGSTAB kernels (§S18), the transient
+// stepper (§S23), the metrics registry (§S24) and the fair-share scheduler
+// (§S22) exist for. Each compares two wall times taken in one process, so
+// the tests build into their own binary and run with RUN_SERIAL: a parallel
+// ctest run would skew the ratios. Workload sizes are small smoke sizes; the
+// thresholds leave room for a noisy host.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,9 @@
 #include "common/timer.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
+#include "reference_krylov.hpp"
 #include "service/scheduler.hpp"
+#include "sparse/solvers.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
 #include "thermal/transient.hpp"
@@ -116,6 +119,45 @@ TEST(TimingContract, RefillSteadyProbeAtLeastTwiceFresh) {
                   });
             }),
             2.0);
+}
+
+TEST(TimingContract, FusedKernelsSolve4RmAtLeast1p25xReference) {
+  // One Krylov iteration is two ILU(0) applies, two SpMVs and the vector
+  // passes. The split, reciprocal-pivot factor and the fused BiCGSTAB race
+  // the CSR-layout factor and the textbook loop (tests/reference_krylov.hpp)
+  // on a cold 1e-9 solve of the case-1 4RM system, the sign-off's unit of
+  // work, at 1 thread like the benchmark's design_1t_s.
+  const BenchmarkCase bench = make_iccad_case(1);
+  const Thermal4RM model(bench.problem, case1_tree(bench));
+  const AssembledThermal sys = model.assemble(1e4);
+  const sparse::CsrMatrix& a = sys.matrix;
+  const sparse::Ilu0Preconditioner split(a);
+  const reference::Ilu0 csr(a);
+  const sparse::Vector cold(a.rows(), sys.inlet_temperature);
+  sparse::SolveOptions opts;
+  opts.rel_tolerance = 1e-9;
+  const std::size_t saved_threads = global_pool_threads();
+  set_global_pool_threads(1);
+  sparse::Vector x;
+  EXPECT_GE(best_of_three([&] {
+              return time_ratio(
+                  1,
+                  [&](int) {
+                    x = cold;
+                    EXPECT_TRUE(reference::bicgstab(a, sys.rhs, x, csr, 1e-9,
+                                                    10 * a.rows() + 100)
+                                    .converged);
+                  },
+                  1,
+                  [&](int) {
+                    x = cold;
+                    EXPECT_TRUE(
+                        sparse::bicgstab_solve(a, sys.rhs, x, split, opts)
+                            .converged);
+                  });
+            }),
+            1.25);
+  set_global_pool_threads(saved_threads);
 }
 
 TEST(TimingContract, TransientRefillStepAtLeastThriceFresh) {
