@@ -11,6 +11,11 @@ For every span name the rollup reports:
   self     total minus time spent in child spans (the span's own cost)
   min/avg/max  per-span wall time
 
+After the table it prints a Krylov census from the end events of the
+fine-level cg_solve / bicgstab_solve spans (present at LCN_TRACE_LEVEL=2):
+per solver, the solve count, how many did not converge, and the p50 / p99 /
+max iterations (nearest rank).
+
 --folded writes collapsed-stack lines ("root;child;leaf <microseconds>"),
 the input format of standard flamegraph tooling (flamegraph.pl, speedscope,
 inferno). Samples are integer microseconds of *self* time per unique stack.
@@ -25,7 +30,10 @@ Exits non-zero (with a message on stderr) on any violation.
 
 import argparse
 import json
+import math
 import sys
+
+KRYLOV_SPANS = ("cg_solve", "bicgstab_solve")
 
 
 class SpanStats:
@@ -48,10 +56,14 @@ class SpanStats:
 
 
 def aggregate(lines):
-    """Return (stats_by_name, folded_by_stack, event_count, errors)."""
+    """Return (stats_by_name, folded_by_stack, krylov, event_count, errors).
+
+    krylov maps each Krylov span name to its solves' (iters, converged).
+    """
     errors = []
     stats = {}    # name -> SpanStats
     folded = {}   # "a;b;c" -> self_ns
+    krylov = {}   # "bicgstab_solve" -> [(iters, converged), ...]
     # tid -> [[name, start_ns, child_ns], ...] of open B events
     stacks = {}
     last_ts = {}  # tid -> last seen ts_ns
@@ -96,6 +108,10 @@ def aggregate(lines):
                               f"open span '{stack[-1][0]}' on tid {tid}")
                 continue
             _, start_ns, child_ns = stack.pop()
+            args = ev.get("args", {})
+            if name in KRYLOV_SPANS and "iters" in args:
+                krylov.setdefault(name, []).append(
+                    (args["iters"], args.get("converged") is True))
             total_ns = ts_ns - start_ns
             self_ns = max(0, total_ns - child_ns)
             stats.setdefault(name, SpanStats()).record(total_ns, self_ns)
@@ -107,7 +123,7 @@ def aggregate(lines):
         if stack:
             open_names = [frame[0] for frame in stack]
             errors.append(f"tid {tid}: unclosed span(s) at EOF: {open_names}")
-    return stats, folded, events, errors
+    return stats, folded, krylov, events, errors
 
 
 def fmt_ms(ns):
@@ -137,6 +153,28 @@ def render_table(stats, top):
     return "\n".join(lines)
 
 
+def nearest_rank(sorted_values, q):
+    return sorted_values[max(0, math.ceil(q * len(sorted_values)) - 1)]
+
+
+def render_census(krylov):
+    if not krylov:
+        return ("krylov census: no cg_solve/bicgstab_solve end events "
+                "(they are recorded at LCN_TRACE_LEVEL=2)")
+    lines = []
+    for name in KRYLOV_SPANS:
+        solves = krylov.get(name)
+        if not solves:
+            continue
+        iters = sorted(it for it, _ in solves)
+        unconverged = sum(1 for _, ok in solves if not ok)
+        lines.append(
+            f"krylov census: {name} {len(solves)} solves, {unconverged} "
+            f"unconverged, iterations p50 {nearest_rank(iters, 0.5)} "
+            f"p99 {nearest_rank(iters, 0.99)} max {iters[-1]}")
+    return "\n".join(lines)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Per-span self/total-time rollups from an LCN JSONL "
@@ -150,7 +188,7 @@ def main(argv):
     args = parser.parse_args(argv[1:])
 
     with open(args.trace, encoding="utf-8") as fh:
-        stats, folded, events, errors = aggregate(fh)
+        stats, folded, krylov, events, errors = aggregate(fh)
     for err in errors:
         print(f"trace_profile: {err}", file=sys.stderr)
 
@@ -158,6 +196,7 @@ def main(argv):
         print(render_table(stats, args.top))
     else:
         print("trace_profile: no completed spans in trace", file=sys.stderr)
+    print(render_census(krylov))
 
     if args.folded:
         with open(args.folded, "w", encoding="utf-8") as fh:

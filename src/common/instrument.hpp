@@ -33,8 +33,6 @@ namespace lcn::instrument {
   X(cg_iterations, "Conjugate-gradient iterations")                           \
   X(bicgstab_solves, "BiCGSTAB solves")                                       \
   X(bicgstab_iterations, "BiCGSTAB iterations")                               \
-  X(gmres_solves, "GMRES solves")                                             \
-  X(gmres_iterations, "GMRES iterations")                                     \
   X(assemblies, "4RM/2RM thermal system assemblies")                          \
   X(assemblies_symbolic, "One-time symbolic assembly plan builds")            \
   X(assemblies_refill, "Numeric value refills of an assembly plan")           \
@@ -43,6 +41,7 @@ namespace lcn::instrument {
   X(flow_plan_misses, "Flow patterns analyzed fresh")                         \
   X(steady_solves, "Steady-state thermal solves")                             \
   X(residual_violations, "Solves whose true residual exceeded 10x tolerance") \
+  X(steady_solve_failures, "Steady thermal solves that did not converge")     \
   X(pressure_probes, "Algorithm-3 / golden-section pressure probes")          \
   X(search_entries, "Algorithm-3 searches entered at a hinted bracket")       \
   X(search_entry_fallbacks, "Hinted searches that ran the cold walk instead") \

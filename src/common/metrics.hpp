@@ -56,7 +56,6 @@ namespace lcn::metrics {
   X(solve_steady_seconds, "Steady-state thermal solve wall time")           \
   X(cg_seconds, "Conjugate-gradient solve wall time")                       \
   X(bicgstab_seconds, "BiCGSTAB solve wall time")                           \
-  X(gmres_seconds, "GMRES solve wall time")                                 \
   X(ilu_factor_seconds, "ILU(0) preconditioner factorization wall time")    \
   X(spmv_batch_seconds, "Sparse matrix-vector multiply wall time")          \
   X(cache_lookup_seconds, "SA evaluator cache lookup wall time")            \

@@ -8,7 +8,6 @@
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
-#include "sparse/gmres.hpp"
 #include "sparse/ic0.hpp"
 
 namespace lcn::sparse {
@@ -16,17 +15,6 @@ namespace lcn::sparse {
 namespace {
 std::size_t effective_max_iters(const SolveOptions& opts, std::size_t n) {
   return opts.max_iterations != 0 ? opts.max_iterations : 10 * n + 100;
-}
-
-std::size_t retry_max_iters(std::size_t n, const SolveOptions& opts) {
-  return 4 * effective_max_iters(opts, n);
-}
-
-GmresOptions gmres_options(const SolveOptions& opts) {
-  GmresOptions gmres;
-  gmres.rel_tolerance = opts.rel_tolerance;
-  gmres.record_residuals = opts.record_residuals;
-  return gmres;
 }
 
 // Bills the solve, its final iteration count and its latency on every exit
@@ -58,88 +46,6 @@ struct IterationRecorder {
   }
 };
 
-// Keeps SolveReport::residual_history's final entry equal to the reported
-// relative residual on every exit path (the contract sparse_test asserts).
-void finish_history(SolveReport& report, bool recording) {
-  if (!recording) return;
-  if (report.residual_history.empty() ||
-      report.residual_history.back() != report.relative_residual) {
-    report.residual_history.push_back(report.relative_residual);
-  }
-}
-
-// The one CG implementation; scratch lives in the workspace and every vector
-// read is re-initialised first, so a fresh and a reused workspace produce
-// bit-identical iterates.
-SolveReport cg_impl(const CsrMatrix& a, const Vector& b, Vector& x,
-                    const Preconditioner& m, const SolveOptions& opts,
-                    SolverWorkspace& ws) {
-  const std::size_t n = a.rows();
-  LCN_REQUIRE(a.cols() == n, "CG needs a square matrix");
-  LCN_REQUIRE(b.size() == n, "CG rhs size mismatch");
-  x.resize(n, 0.0);
-
-  const double bnorm = norm2(b);
-  SolveReport report;
-  const IterationRecorder recorder("cg_solve", metrics::Hist::cg_seconds,
-                                   report, instrument::Counter::cg_solves,
-                                   instrument::Counter::cg_iterations);
-  const bool recording = opts.record_residuals;
-  if (bnorm == 0.0) {
-    x.assign(n, 0.0);
-    report.converged = true;
-    finish_history(report, recording);
-    return report;
-  }
-
-  Vector& r = ws.r;
-  r = b;
-  a.multiply(x, ws.ax);
-  axpy(-1.0, ws.ax, r);
-  Vector& z = ws.z;
-  m.apply(r, z);
-  Vector& p = ws.p;
-  p = z;
-  Vector& ap = ws.ap;
-  double rz = dot(r, z);
-
-  const std::size_t max_iters = effective_max_iters(opts, n);
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    a.multiply(p, ap);
-    const double pap = dot(p, ap);
-    if (pap <= 0.0) {
-      // Not SPD (or numerically degenerate) — bail out with best effort.
-      report.iterations = it;
-      report.relative_residual = norm2(r) / bnorm;
-      finish_history(report, recording);
-      return report;
-    }
-    const double alpha = rz / pap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-
-    const double rel = norm2(r) / bnorm;
-    if (recording) report.residual_history.push_back(rel);
-    if (rel < opts.rel_tolerance) {
-      report.converged = true;
-      report.iterations = it + 1;
-      report.relative_residual = rel;
-      return report;
-    }
-
-    m.apply(r, z);
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    xpby(z, beta, p);
-  }
-
-  report.iterations = max_iters;
-  report.relative_residual = norm2(r) / bnorm;
-  finish_history(report, recording);
-  return report;
-}
-
 SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
                           const Preconditioner& m, const SolveOptions& opts,
                           SolverWorkspace& ws) {
@@ -154,11 +60,9 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
                                    metrics::Hist::bicgstab_seconds, report,
                                    instrument::Counter::bicgstab_solves,
                                    instrument::Counter::bicgstab_iterations);
-  const bool recording = opts.record_residuals;
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
     report.converged = true;
-    finish_history(report, recording);
     return report;
   }
 
@@ -186,9 +90,12 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   // are those of the one-kernel-per-step loop at any thread count.
   double rho_next = dot(r0, r);
 
+  // `it` outlives the loop: a breakdown stops after `it` whole iterations.
   const std::size_t max_iters = effective_max_iters(opts, n);
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    if (std::abs(rho_next) < 1e-300) break;  // breakdown
+  std::size_t it = 0;
+  for (; it < max_iters; ++it) {
+    // Breakdown: the next beta would divide by a vanishing rho or omega.
+    if (std::abs(rho_next) < 1e-300 || std::abs(omega) < 1e-300) break;
     // Pass 1: p = r + beta * (p - omega * v).
     if (it == 0) {
       p = r;
@@ -217,7 +124,6 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
       report.converged = true;
       report.iterations = it + 1;
       report.relative_residual = std::sqrt(ss) / bnorm;
-      finish_history(report, recording);
       return report;
     }
 
@@ -244,24 +150,21 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
     }
 
     const double rel = std::sqrt(rr) / bnorm;
-    if (recording) report.residual_history.push_back(rel);
     if (rel < opts.rel_tolerance) {
       report.converged = true;
       report.iterations = it + 1;
       report.relative_residual = rel;
       return report;
     }
-    if (std::abs(omega) < 1e-300) break;
   }
 
   a.multiply(x, ws.ax);
   Vector& final_r = ws.t;
   final_r = b;
   axpy(-1.0, ws.ax, final_r);
-  report.iterations = max_iters;
+  report.iterations = it;
   report.relative_residual = norm2(final_r) / bnorm;
   report.converged = report.relative_residual < opts.rel_tolerance;
-  finish_history(report, recording);
   return report;
 }
 
@@ -269,15 +172,66 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
 
 SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                      const Preconditioner& m, const SolveOptions& opts) {
-  SolverWorkspace ws;
-  return cg_impl(a, b, x, m, opts, ws);
-}
+  const std::size_t n = a.rows();
+  LCN_REQUIRE(a.cols() == n, "CG needs a square matrix");
+  LCN_REQUIRE(b.size() == n, "CG rhs size mismatch");
+  x.resize(n, 0.0);
 
-SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                     const Preconditioner& m, SolverWorkspace& ws,
-                     const SolveOptions& opts) {
-  instrument::add(instrument::Counter::workspace_reuses);
-  return cg_impl(a, b, x, m, opts, ws);
+  const double bnorm = norm2(b);
+  SolveReport report;
+  const IterationRecorder recorder("cg_solve", metrics::Hist::cg_seconds,
+                                   report, instrument::Counter::cg_solves,
+                                   instrument::Counter::cg_iterations);
+  if (bnorm == 0.0) {
+    x.assign(n, 0.0);
+    report.converged = true;
+    return report;
+  }
+
+  Vector r = b;
+  Vector ax;
+  a.multiply(x, ax);
+  axpy(-1.0, ax, r);
+  Vector z;
+  m.apply(r, z);
+  Vector p = z;
+  Vector ap;
+  double rz = dot(r, z);
+
+  const std::size_t max_iters = effective_max_iters(opts, n);
+  for (std::size_t it = 0; it < max_iters; ++it) {
+    a.multiply(p, ap);
+    const double pap = dot(p, ap);
+    if (pap <= 0.0) {
+      // Not SPD, numerically degenerate, or p = 0 because x is already the
+      // solution — bail out with best effort.
+      report.iterations = it;
+      report.relative_residual = norm2(r) / bnorm;
+      report.converged = report.relative_residual < opts.rel_tolerance;
+      return report;
+    }
+    const double alpha = rz / pap;
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+
+    const double rel = norm2(r) / bnorm;
+    if (rel < opts.rel_tolerance) {
+      report.converged = true;
+      report.iterations = it + 1;
+      report.relative_residual = rel;
+      return report;
+    }
+
+    m.apply(r, z);
+    const double rz_next = dot(r, z);
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    xpby(z, beta, p);
+  }
+
+  report.iterations = max_iters;
+  report.relative_residual = norm2(r) / bnorm;
+  return report;
 }
 
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
@@ -314,42 +268,6 @@ void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                        std::to_string(report.iterations) + " iterations)");
   }
   LCN_DEBUG() << context << ": CG converged in " << report.iterations
-              << " iters, rel residual " << report.relative_residual;
-}
-
-void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const std::string& context, const Preconditioner& m,
-                            SolverWorkspace& ws, const SolveOptions& opts) {
-  instrument::add(instrument::Counter::workspace_reuses);
-  SolveReport report = bicgstab_impl(a, b, x, m, opts, ws);
-  if (!report.converged) {
-    // One retry from scratch with a fresh zero guess and more iterations —
-    // BiCGSTAB can stagnate from an unlucky shadow residual.
-    x.assign(a.rows(), 0.0);
-    SolveOptions retry = opts;
-    retry.max_iterations = retry_max_iters(a.rows(), opts);
-    report = bicgstab_impl(a, b, x, m, retry, ws);
-  }
-  if (!report.converged) {
-    // Robust fallback for strongly advective systems: restarted GMRES with
-    // the same preconditioner.
-    x.assign(a.rows(), 0.0);
-    const SolveReport gmres_report =
-        gmres_solve(a, b, x, m, ws, gmres_options(opts));
-    if (gmres_report.converged) {
-      LCN_DEBUG() << context << ": GMRES fallback converged in "
-                  << gmres_report.iterations << " iters";
-      return;
-    }
-    report = gmres_report;
-  }
-  if (!report.converged) {
-    throw RuntimeError(context +
-                       ": BiCGSTAB and GMRES failed to converge (rel residual " +
-                       std::to_string(report.relative_residual) + " after " +
-                       std::to_string(report.iterations) + " iterations)");
-  }
-  LCN_DEBUG() << context << ": BiCGSTAB converged in " << report.iterations
               << " iters, rel residual " << report.relative_residual;
 }
 

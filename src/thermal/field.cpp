@@ -79,18 +79,28 @@ void SteadyWorkspace::solve(const sparse::CsrMatrix& matrix,
                             const sparse::Vector& rhs, sparse::Vector& x,
                             const std::string& context, double rel_tolerance) {
   LCN_REQUIRE(precon_.has_value(), "SteadyWorkspace::solve before factor()");
+  const auto fail = [&](const std::string& why) {
+    instrument::add(instrument::Counter::steady_solve_failures);
+    throw RuntimeError(context + ": " + why);
+  };
   sparse::SolveOptions opts;
   opts.rel_tolerance = rel_tolerance;
-  sparse::solve_general_or_throw(matrix, rhs, x, context, *precon_, krylov_,
-                                 opts);
+  const auto bicgstab = [&] {
+    const sparse::SolveReport report =
+        sparse::bicgstab_solve(matrix, rhs, x, *precon_, krylov_, opts);
+    if (report.converged) return;
+    fail("BiCGSTAB failed to converge (rel residual " +
+         std::to_string(report.relative_residual) + " after " +
+         std::to_string(report.iterations) + " iterations)");
+  };
+  bicgstab();
   if (true_residual_ok(matrix, rhs, x, rel_tolerance)) return;
   // Restarting from x resets the recurrence to the true residual.
   opts.rel_tolerance = 0.1 * rel_tolerance;
-  sparse::solve_general_or_throw(matrix, rhs, x, context, *precon_, krylov_,
-                                 opts);
+  bicgstab();
   if (!true_residual_ok(matrix, rhs, x, rel_tolerance)) {
-    throw RuntimeError(context + ": true residual above 10x the tolerance " +
-                       std::to_string(rel_tolerance) + " after a re-solve");
+    fail("true residual above 10x the tolerance " +
+         std::to_string(rel_tolerance) + " after a re-solve");
   }
 }
 

@@ -80,12 +80,12 @@ class SteadyWorkspace {
   /// Set the preconditioner up for `matrix`.
   void factor(const sparse::CsrMatrix& matrix);
 
-  /// Solve matrix · x = rhs with the preconditioner factor() set up for this
-  /// matrix (BiCGSTAB, retry, GMRES fallback); x carries the initial guess in
-  /// and the solution out. A solution that fails true_residual_ok() is
-  /// re-solved from where it stopped, 10× tighter. Throws
-  /// lcn::RuntimeError(context) on non-convergence, or when the re-solve
-  /// still fails the check.
+  /// Solve matrix · x = rhs by one BiCGSTAB pass with the preconditioner
+  /// factor() set up for this matrix; x carries the initial guess in and the
+  /// solution out. A solution that fails true_residual_ok() is re-solved from
+  /// where it stopped, 10× tighter. Throws lcn::RuntimeError(context), and
+  /// counts one steady_solve_failures, when a pass does not converge within
+  /// its 10n+100 budget or the re-solve still fails the check.
   void solve(const sparse::CsrMatrix& matrix, const sparse::Vector& rhs,
              sparse::Vector& x, const std::string& context,
              double rel_tolerance);
@@ -95,8 +95,8 @@ class SteadyWorkspace {
   sparse::SolverWorkspace krylov_;
 };
 
-/// Solve the steady system (preconditioned BiCGSTAB, GMRES fallback) and
-/// build the field. Throws lcn::RuntimeError on non-convergence.
+/// Solve the steady system (ILU(0)-preconditioned BiCGSTAB) and build the
+/// field. Throws lcn::RuntimeError on non-convergence.
 /// `initial_guess` (optional, right size) warm-starts the Krylov solve —
 /// the pressure searches probe many nearby P_sys values, and the previous
 /// temperature field is an excellent starting point. `workspace` (optional)

@@ -20,7 +20,6 @@
 #include "geom/materials.hpp"
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
-#include "sparse/gmres.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/solvers.hpp"
@@ -292,39 +291,6 @@ TEST_P(RefillEquivalence, WorkspaceSolveMatchesAllocatingSolve) {
     EXPECT_EQ(alloc.delta_t, reused.delta_t);
     warm_alloc = alloc.temperatures;
     warm_ws = reused.temperatures;
-  }
-}
-
-TEST_P(RefillEquivalence, GmresMethodSelectionSolvesThermalSystem) {
-  // GMRES, the cascade's fallback method, selected directly with the same
-  // ILU(0) preconditioner must agree with the BiCGSTAB cascade to solver
-  // tolerance on the nonsymmetric thermal system.
-  const CoolingProblem problem = plan_problem();
-  const CoolingNetwork net = grid_network(problem);
-  const Thermal2RM sim(problem, replicated(problem, net), 4);
-  const AssembledThermal sys = sim.assemble(3000.0);
-  const sparse::Ilu0Preconditioner ilu(sys.matrix);
-
-  sparse::Vector x_auto(sys.matrix.rows(), problem.inlet_temperature);
-  sparse::SolveOptions auto_opts;
-  auto_opts.rel_tolerance = 1e-10;
-  sparse::SolverWorkspace ws;
-  sparse::solve_general_or_throw(sys.matrix, sys.rhs, x_auto, "auto cascade",
-                                 ilu, ws, auto_opts);
-
-  sparse::Vector x_gmres(sys.matrix.rows(), problem.inlet_temperature);
-  sparse::GmresOptions gmres_opts;
-  gmres_opts.rel_tolerance = 1e-10;
-  gmres_opts.restart = 60;
-  ASSERT_TRUE(
-      sparse::gmres_solve(sys.matrix, sys.rhs, x_gmres, ilu, gmres_opts)
-          .converged);
-
-  ASSERT_EQ(x_auto.size(), x_gmres.size());
-  for (std::size_t i = 0; i < x_auto.size(); ++i) {
-    ASSERT_NEAR(x_auto[i], x_gmres[i],
-                1e-6 * std::max(1.0, std::abs(x_auto[i])))
-        << "node " << i;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/instrument.hpp"
@@ -187,6 +188,32 @@ TEST(SteadyWorkspace, SolveBeforeFactorIsAContractError) {
   std::vector<double> x(system.matrix.rows(), 300.0);
   EXPECT_THROW(ws.solve(system.matrix, system.rhs, x, "unfactored", 1e-9),
                ContractError);
+}
+
+// A solve that cannot converge (tolerance 0) runs one BiCGSTAB pass over its
+// whole budget, then throws naming its context and counts one failure: no
+// retry, no second method.
+TEST(SteadyWorkspace, UnconvergedSolveThrowsAfterOneBicgstabPass) {
+  const CoolingProblem problem = small_problem();
+  const Thermal2RM sim(problem, straight_networks(problem), 3);
+  const AssembledThermal system = sim.assemble(2000.0);
+  SteadyWorkspace ws;
+  ws.factor(system.matrix);
+  std::vector<double> x(system.matrix.rows(), system.inlet_temperature);
+
+  const instrument::Snapshot before = instrument::snapshot();
+  try {
+    ws.solve(system.matrix, system.rhs, x, "zero-tolerance solve", 0.0);
+    ADD_FAILURE() << "a zero-tolerance solve returned";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("zero-tolerance solve"),
+              std::string::npos)
+        << e.what();
+  }
+  const instrument::Snapshot d =
+      instrument::delta(before, instrument::snapshot());
+  EXPECT_EQ(d.bicgstab_solves, 1u);
+  EXPECT_EQ(d.steady_solve_failures, 1u);
 }
 
 TEST(TrueResidual, FiresOnASolveStoppedEarly) {

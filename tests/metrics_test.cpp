@@ -194,9 +194,9 @@ TEST(MetricsLevel, ScopedLatencyRespectsLevelGating) {
 
   metrics::set_level(0);
   {
-    const metrics::ScopedLatency latency(metrics::Hist::gmres_seconds);
+    const metrics::ScopedLatency latency(metrics::Hist::cg_seconds);
   }
-  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::gmres_seconds).count, 0u);
+  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::cg_seconds).count, 0u);
 
   metrics::set_level(metrics::kCoarse);
   {
@@ -204,10 +204,10 @@ TEST(MetricsLevel, ScopedLatencyRespectsLevelGating) {
     const metrics::ScopedLatency fine(metrics::Hist::spmv_batch_seconds,
                                       metrics::kFine);
     // ...while a coarse site records.
-    const metrics::ScopedLatency coarse(metrics::Hist::gmres_seconds);
+    const metrics::ScopedLatency coarse(metrics::Hist::cg_seconds);
   }
   EXPECT_EQ(shard.snapshot().hist(metrics::Hist::spmv_batch_seconds).count, 0u);
-  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::gmres_seconds).count, 1u);
+  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::cg_seconds).count, 1u);
 }
 
 TEST(MetricsSnapshotJson, CarriesHistogramsGaugesCounters) {

@@ -163,6 +163,7 @@ TEST(ProbeAccuracy, CaseOneProblemOneRunHasNoResidualViolations) {
   ASSERT_TRUE(out.feasible);
   EXPECT_GT(used.steady_solves, 0u);
   EXPECT_EQ(used.residual_violations, 0u);
+  EXPECT_EQ(used.steady_solve_failures, 0u);
   EXPECT_EQ(used.eval_failures, 0u);
 }
 
