@@ -1,5 +1,6 @@
 #include "common/strings.hpp"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -47,6 +48,11 @@ std::string strfmt(const char* fmt, ...) {
   if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
+}
+
+std::string json_number(double value, int digits) {
+  if (!std::isfinite(value)) return "null";
+  return strfmt("%.*g", digits, value);
 }
 
 }  // namespace lcn

@@ -275,7 +275,7 @@ void emit_instant(const char* name, int level, const char* args) {
 
 void emit_counter(const char* name, int level, double value) {
   if (!enabled(level)) return;
-  record('C', name, strfmt("\"value\":%.9g", value).c_str());
+  record('C', name, ("\"value\":" + json_number(value, 9)).c_str());
 }
 
 void Span::set_args(const std::string& args_json) {

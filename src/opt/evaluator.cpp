@@ -11,21 +11,20 @@
 
 namespace lcn {
 
-namespace {
-
-std::variant<Thermal2RM, Thermal4RM> make_sim(const CoolingProblem& problem,
-                                              const CoolingNetwork& network,
-                                              const SimConfig& config) {
+ThermalModel make_thermal_model(const CoolingProblem& problem,
+                                const CoolingNetwork& network,
+                                const SimConfig& config) {
   std::vector<CoolingNetwork> nets(
       static_cast<std::size_t>(problem.stack.channel_count()), network);
   if (config.model == ThermalModelKind::k4RM) {
-    return std::variant<Thermal2RM, Thermal4RM>(
-        std::in_place_type<Thermal4RM>, problem, std::move(nets));
+    return ThermalModel(std::in_place_type<Thermal4RM>, problem,
+                        std::move(nets));
   }
-  return std::variant<Thermal2RM, Thermal4RM>(
-      std::in_place_type<Thermal2RM>, problem, std::move(nets),
-      config.thermal_cell);
+  return ThermalModel(std::in_place_type<Thermal2RM>, problem, std::move(nets),
+                      config.thermal_cell);
 }
+
+namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -55,8 +54,24 @@ ScopedTightSearchProbes::~ScopedTightSearchProbes() { --tight_search_scopes; }
 SystemEvaluator::SystemEvaluator(const CoolingProblem& problem,
                                  const CoolingNetwork& network,
                                  const SimConfig& config)
-    : sim_(make_sim(problem, network, config)),
-      inlet_temperature_(problem.inlet_temperature) {}
+    : SystemEvaluator(std::make_shared<const ThermalModel>(
+                          make_thermal_model(problem, network, config)),
+                      BoundaryState{problem.inlet_temperature, {}}) {}
+
+SystemEvaluator::SystemEvaluator(std::shared_ptr<const ThermalModel> model,
+                                 BoundaryState boundary,
+                                 std::vector<double> first_guess)
+    : model_(std::move(model)),
+      boundary_(std::move(boundary)),
+      first_guess_(std::move(first_guess)) {
+  LCN_REQUIRE(model_ != nullptr, "evaluator needs a thermal model");
+}
+
+AssembledThermal SystemEvaluator::assemble(double p_sys) const {
+  return std::visit(
+      [this, p_sys](const auto& sim) { return sim.assemble(p_sys, boundary_); },
+      *model_);
+}
 
 ThermalProbe SystemEvaluator::probe(double p_sys, ProbeAccuracy accuracy) {
   // A NaN key would break the map's ordering.
@@ -73,8 +88,7 @@ ThermalProbe SystemEvaluator::probe(double p_sys, ProbeAccuracy accuracy) {
   }
   LCN_TRACE_SPAN_FINE("thermal_probe");
   const std::vector<double> guess = initial_guess(p_sys);
-  const AssembledThermal system = std::visit(
-      [p_sys](const auto& sim) { return sim.assemble(p_sys); }, sim_);
+  const AssembledThermal system = assemble(p_sys);
   ThermalField field = solve_steady(
       system,
       accuracy == ProbeAccuracy::kSearch ? kSearchProbeTolerance
@@ -93,8 +107,7 @@ std::vector<double> SystemEvaluator::initial_guess(double p_sys) const {
     return above->second.temperatures;  // the loose field here
   }
   if (above == solved_.begin()) {
-    return above == solved_.end() ? std::vector<double>{}
-                                  : above->second.temperatures;
+    return above == solved_.end() ? first_guess_ : above->second.temperatures;
   }
   const auto below = std::prev(above);
   if (above == solved_.end()) return below->second.temperatures;
@@ -111,21 +124,26 @@ std::vector<double> SystemEvaluator::initial_guess(double p_sys) const {
   return guess;
 }
 
+std::vector<double> SystemEvaluator::solved_temperatures(double p_sys) const {
+  const auto seen = solved_.find(p_sys);
+  return seen == solved_.end() ? std::vector<double>{}
+                               : seen->second.temperatures;
+}
+
 double SystemEvaluator::pumping_power(double p_sys) const {
   return std::visit(
-      [p_sys](const auto& sim) { return sim.pumping_power(p_sys); }, sim_);
+      [p_sys](const auto& sim) { return sim.pumping_power(p_sys); }, *model_);
 }
 
 double SystemEvaluator::system_resistance() const {
   const double q = std::visit(
-      [](const auto& sim) { return sim.system_flow(1.0); }, sim_);
+      [](const auto& sim) { return sim.system_flow(1.0); }, *model_);
   LCN_CHECK(q > 0.0, "system flow at unit pressure must be positive");
   return 1.0 / q;
 }
 
 ThermalField SystemEvaluator::field(double p_sys) const {
-  return std::visit(
-      [p_sys](const auto& sim) { return sim.simulate(p_sys); }, sim_);
+  return solve_steady(assemble(p_sys));
 }
 
 EvalResult EvalResult::infeasible_result() {

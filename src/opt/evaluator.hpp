@@ -19,6 +19,7 @@
 
 #include "network/cooling_network.hpp"
 #include "opt/pressure_search.hpp"
+#include "thermal/boundary.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
 #include "thermal/problem.hpp"
@@ -33,6 +34,16 @@ struct SimConfig {
   /// benchmark grid, the paper's accuracy/runtime sweet spot.
   int thermal_cell = 4;
 };
+
+/// A thermal model of one network: its flow solution and, once built, its
+/// assembly plan. Evaluators over the same model share both.
+using ThermalModel = std::variant<Thermal2RM, Thermal4RM>;
+
+/// The `config` model of `network` on every channel layer (one flow solve;
+/// the assembly plan is built on the first probe).
+ThermalModel make_thermal_model(const CoolingProblem& problem,
+                                const CoolingNetwork& network,
+                                const SimConfig& config);
 
 struct ThermalProbe {
   double delta_t = 0.0;
@@ -58,12 +69,20 @@ class SystemEvaluator {
   SystemEvaluator(const CoolingProblem& problem, const CoolingNetwork& network,
                   const SimConfig& config);
 
+  /// An evaluator over an existing model — its flow solution and assembly
+  /// plan, so no flow solve and no symbolic build — whose probes assemble
+  /// under `boundary` (inlet temperature, per-layer power scale; §S23). The
+  /// first solve starts from `first_guess` when its size matches the system.
+  SystemEvaluator(std::shared_ptr<const ThermalModel> model,
+                  BoundaryState boundary,
+                  std::vector<double> first_guess = {});
+
   /// ΔT and T_max at a positive, finite pressure (cached; one linear solve
   /// per new P_sys and accuracy). A search probe at a pressure already solved
   /// tightly returns the tight result. A new solve warm-starts from the loose
   /// field at the same pressure, else from the 1/P interpolation of the
   /// nearest solved fields below and above, else from the nearest solved
-  /// field, else from T_in.
+  /// field, else from the first guess, else from T_in.
   ThermalProbe probe(double p_sys,
                      ProbeAccuracy accuracy = ProbeAccuracy::kVerdict);
 
@@ -72,10 +91,17 @@ class SystemEvaluator {
 
   double pumping_power(double p_sys) const;
   double system_resistance() const;
-  double inlet_temperature() const { return inlet_temperature_; }
+  double inlet_temperature() const { return boundary_.inlet_temperature; }
 
   /// Full-resolution field (for maps); bypasses the cache.
   ThermalField field(double p_sys) const;
+
+  /// The model every probe assembles from.
+  const std::shared_ptr<const ThermalModel>& model() const { return model_; }
+
+  /// Node temperatures of the field solved at exactly `p_sys`; empty when
+  /// that pressure was never probed.
+  std::vector<double> solved_temperatures(double p_sys) const;
 
   /// Linear solves so far, at either accuracy.
   std::size_t simulations() const { return simulations_; }
@@ -90,8 +116,12 @@ class SystemEvaluator {
   /// The warm start of a new solve at p_sys (DESIGN.md §S9); empty = T_in.
   std::vector<double> initial_guess(double p_sys) const;
 
-  std::variant<Thermal2RM, Thermal4RM> sim_;
-  double inlet_temperature_;
+  /// A new system at p_sys under the evaluator's boundary.
+  AssembledThermal assemble(double p_sys) const;
+
+  std::shared_ptr<const ThermalModel> model_;
+  BoundaryState boundary_;
+  std::vector<double> first_guess_;
   /// Every solved pressure, in order. Exact-match memoization: the searches
   /// re-probe exact values (bracket endpoints, final operating points). A
   /// tight entry answers both accuracies; a tight solve replaces a loose one.

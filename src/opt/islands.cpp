@@ -399,12 +399,14 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
                   instrument::task_count(kProbes) - probes_before;
               args = strfmt(
                   "\"stage\":\"%s\",\"round\":%d,\"iter\":%d,"
-                  "\"temperature\":%.6g,\"current\":%.9g,"
-                  "\"candidate\":%.9g,\"best\":%.9g,\"accepted\":%s,"
+                  "\"temperature\":%.6g,\"current\":%s,"
+                  "\"candidate\":%s,\"best\":%s,\"accepted\":%s,"
                   "\"accept_rate\":%.4f,\"cache_hit_rate\":%.4f,"
                   "\"probes\":%llu",
                   stage.name.c_str(), round, iter, cr.temperature,
-                  cr.state_score, candidate, cr.best.score,
+                  json_number(cr.state_score, 9).c_str(),
+                  json_number(candidate, 9).c_str(),
+                  json_number(cr.best.score, 9).c_str(),
                   accept ? "true" : "false",
                   static_cast<double>(cr.accepted) / (iter + 1), hit_rate,
                   static_cast<unsigned long long>(probes));
@@ -413,10 +415,12 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
               // they are population-wide and live in the instrument counters.
               args = strfmt(
                   "\"stage\":\"%s\",\"island\":%d,\"round\":%d,"
-                  "\"iter\":%d,\"temperature\":%.6g,\"current\":%.9g,"
-                  "\"candidate\":%.9g,\"best\":%.9g,\"accepted\":%s",
+                  "\"iter\":%d,\"temperature\":%.6g,\"current\":%s,"
+                  "\"candidate\":%s,\"best\":%s,\"accepted\":%s",
                   stage.name.c_str(), i, round, iter, cr.temperature,
-                  cr.state_score, candidate, cr.best.score,
+                  json_number(cr.state_score, 9).c_str(),
+                  json_number(candidate, 9).c_str(),
+                  json_number(cr.best.score, 9).c_str(),
                   accept ? "true" : "false");
             }
             if (trace::enabled()) {

@@ -144,39 +144,53 @@ DegradedSystem apply_scenario(const CoolingProblem& nominal,
                               const FaultScenario& scenario) {
   LCN_REQUIRE(network.grid() == nominal.grid,
               "apply_scenario: network grid must match the problem grid");
-  DegradedSystem sys{nominal, network, 1.0};
+  const ScenarioSplit split = split_scenario(nominal, scenario);
+  DegradedSystem sys{nominal, network, split.pressure_derate};
+  for (const Fault& fault : split.structural.faults) apply_blockage(sys, fault);
+  sys.problem.inlet_temperature = split.boundary.inlet_temperature;
+  for (std::size_t l = 0; l < split.boundary.power_scale.size(); ++l) {
+    PowerMap& map = sys.problem.source_power[l];
+    for (int r = 0; r < map.grid().rows(); ++r) {
+      for (int c = 0; c < map.grid().cols(); ++c) {
+        map.at(r, c) *= split.boundary.power_scale[l];
+      }
+    }
+  }
+  return sys;
+}
+
+ScenarioSplit split_scenario(const CoolingProblem& nominal,
+                             const FaultScenario& scenario) {
+  ScenarioSplit split;
+  split.boundary.inlet_temperature = nominal.inlet_temperature;
+  const auto layers = static_cast<int>(nominal.source_power.size());
   for (const Fault& fault : scenario.faults) {
     switch (fault.kind) {
       case FaultKind::kChannelBlockage:
-        apply_blockage(sys, fault);
+        split.structural.faults.push_back(fault);
         break;
       case FaultKind::kPumpDroop:
         LCN_REQUIRE(fault.severity >= 0.0 && fault.severity < 1.0,
                     "pump droop severity must be in [0, 1)");
-        sys.pressure_derate *= 1.0 - fault.severity;
+        split.pressure_derate *= 1.0 - fault.severity;
         break;
       case FaultKind::kInletDrift:
-        sys.problem.inlet_temperature += fault.magnitude;
+        split.boundary.inlet_temperature += fault.magnitude;
         break;
       case FaultKind::kPowerExcursion: {
-        const auto layers =
-            static_cast<int>(sys.problem.source_power.size());
         LCN_REQUIRE(fault.layer < layers,
                     "power excursion layer out of range");
+        std::vector<double>& scale = split.boundary.power_scale;
+        if (scale.empty()) scale.assign(nominal.source_power.size(), 1.0);
         for (int l = 0; l < layers; ++l) {
           if (fault.layer >= 0 && l != fault.layer) continue;
-          PowerMap& map = sys.problem.source_power[static_cast<std::size_t>(l)];
-          for (int r = 0; r < map.grid().rows(); ++r) {
-            for (int c = 0; c < map.grid().cols(); ++c) {
-              map.at(r, c) *= 1.0 + fault.magnitude;
-            }
-          }
+          scale[static_cast<std::size_t>(l)] *= 1.0 + fault.magnitude;
         }
         break;
       }
     }
   }
-  return sys;
+  return split;
 }
 
 FaultScenario sample_scenario(const FaultDistribution& distribution,

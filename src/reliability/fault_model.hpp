@@ -30,6 +30,7 @@
 
 #include "common/rng.hpp"
 #include "network/cooling_network.hpp"
+#include "thermal/boundary.hpp"
 #include "thermal/problem.hpp"
 
 namespace lcn {
@@ -91,6 +92,23 @@ struct DegradedSystem {
 DegradedSystem apply_scenario(const CoolingProblem& nominal,
                               const CoolingNetwork& network,
                               const FaultScenario& scenario);
+
+/// A scenario split the way the dynamic engine applies faults (§S23): only
+/// blockages change the hydraulic structure (apply `structural` to get the
+/// degraded network); droop only derates the pump; inlet drift and power
+/// excursions only touch the right-hand side, as a BoundaryState over the
+/// nominal problem. `boundary.power_scale` stays empty (nominal power,
+/// added verbatim) when no excursion is present. Drifts add and droops and
+/// excursions multiply in fault order. apply_scenario() bakes the same
+/// split into its copy.
+struct ScenarioSplit {
+  FaultScenario structural;
+  double pressure_derate = 1.0;
+  BoundaryState boundary;
+};
+
+ScenarioSplit split_scenario(const CoolingProblem& nominal,
+                             const FaultScenario& scenario);
 
 /// Distribution the Monte-Carlo engine samples scenarios from. Each fault
 /// class appears independently with its own probability; magnitudes are

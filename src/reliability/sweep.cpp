@@ -40,22 +40,51 @@ const char* recovery_kind_name(RecoveryKind kind) {
   return "?";
 }
 
-ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
+NominalDesign evaluate_nominal(const CoolingProblem& problem,
+                               const CoolingNetwork& network,
+                               double p_command, const SimConfig& sim) {
+  LCN_REQUIRE(p_command > 0.0, "commanded pressure must be positive");
+  SystemEvaluator eval(problem, network, sim);
+  const ThermalProbe at_p = eval.probe(p_command);
+  return NominalDesign{problem,
+                       network,
+                       sim,
+                       p_command,
+                       eval.model(),
+                       at_p,
+                       eval.pumping_power(p_command),
+                       eval.solved_temperatures(p_command)};
+}
+
+ScenarioOutcome evaluate_scenario(const NominalDesign& nominal,
                                   const FaultScenario& scenario,
                                   const DesignConstraints& limits,
-                                  double p_command,
                                   const SweepOptions& options) {
-  LCN_REQUIRE(p_command > 0.0, "commanded pressure must be positive");
+  ScenarioSplit split = split_scenario(nominal.problem, scenario);
   ScenarioOutcome out;
   out.scenario = scenario;
-  out.p_delivered = system.delivered_pressure(p_command);
+  out.p_delivered = nominal.p_command * split.pressure_derate;
   out.t_margin = -kInf;
   out.dt_margin = -kInf;
-  // Own evaluator, not evaluate(): recovery reuses its flow solve and probes.
+  // The nominal field, shifted by the inlet drift, starts the first solve
+  // (a full blockage that removes nodes falls back to T_in).
+  std::vector<double> first_guess = nominal.temperatures;
+  const double drift =
+      split.boundary.inlet_temperature - nominal.problem.inlet_temperature;
+  for (double& t : first_guess) t += drift;
+  // Own evaluator, not evaluate(): recovery reuses its model and probes.
   // probe() solves at verdict accuracy — the margins are reported numbers —
   // and the recovery search's loose probes warm-start from that field.
   try {
-    SystemEvaluator eval(system.problem, system.network, options.sim);
+    std::shared_ptr<const ThermalModel> model = nominal.model;
+    if (!split.structural.empty()) {
+      const DegradedSystem degraded =
+          apply_scenario(nominal.problem, nominal.network, split.structural);
+      model = std::make_shared<const ThermalModel>(make_thermal_model(
+          degraded.problem, degraded.network, nominal.sim));
+    }
+    SystemEvaluator eval(std::move(model), std::move(split.boundary),
+                         std::move(first_guess));
     out.at_p = eval.probe(out.p_delivered);
     out.w_pump = eval.pumping_power(out.p_delivered);
     out.evaluated = true;
@@ -68,12 +97,14 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
         instrument::add(instrument::Counter::recovery_searches);
         // Algorithm 2 on the degraded system: the smallest *delivered*
         // pressure meeting both limits; the pump must command it through
-        // the droop.
+        // the droop. The scenario is known to fail at p_delivered, so the
+        // search enters its cold grid there; the hinted walk returns the
+        // cold search's point.
         const EvalResult recovery =
-            evaluate_p1(eval, limits, options.search);
+            evaluate_p1(eval, limits, options.search, out.p_delivered);
         if (recovery.feasible) {
           out.recovery = RecoveryKind::kRecovered;
-          out.recovery_p_sys = recovery.p_sys / system.pressure_derate;
+          out.recovery_p_sys = recovery.p_sys / split.pressure_derate;
           out.recovery_w_pump = recovery.w_pump;
         } else {
           out.recovery = RecoveryKind::kUnrecoverable;
@@ -106,15 +137,13 @@ SweepReport run_sweep(const CoolingProblem& problem,
   }
   WallTimer timer;
 
+  // Exceptions from the nominal evaluation propagate to the caller.
+  const NominalDesign nominal =
+      evaluate_nominal(problem, network, p_nominal, options.sim);
   SweepReport report;
   report.p_nominal = p_nominal;
-  {
-    // The nominal system must evaluate — a design that cannot be simulated
-    // has no business being swept. Exceptions propagate to the caller.
-    SystemEvaluator eval(problem, network, options.sim);
-    report.nominal = eval.probe(p_nominal);
-    report.w_nominal = eval.pumping_power(p_nominal);
-  }
+  report.nominal = nominal.at_p;
+  report.w_nominal = nominal.w_pump;
 
   const int source_layers = static_cast<int>(problem.source_power.size());
   const auto n = static_cast<std::size_t>(options.scenarios);
@@ -134,10 +163,8 @@ SweepReport run_sweep(const CoolingProblem& problem,
     const FaultScenario scenario =
         sample_scenario(options.distribution, problem.grid, source_layers,
                         rng);
-    const DegradedSystem degraded =
-        apply_scenario(problem, network, scenario);
     report.outcomes[k] =
-        evaluate_scenario(degraded, scenario, limits, p_nominal, options);
+        evaluate_scenario(nominal, scenario, limits, options);
   });
 
   // Reduce in scenario order.

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "opt/evaluator.hpp"
@@ -96,14 +97,38 @@ struct SweepReport {
   double mean_recovery_w_extra = 0.0;
 };
 
-/// Evaluate one already-applied scenario at the commanded pressure
-/// `p_command` (the scenario's droop decides what is delivered), planning
-/// recovery when asked. Exposed for tests and for custom (non-Monte-Carlo)
-/// what-if studies.
-ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
+/// The design a sweep degrades, evaluated once at its commanded pressure.
+/// Every scenario reuses it: a scenario without a blockage evaluates on
+/// `model` itself (its flow solution and assembly plan), and each scenario's
+/// first solve starts from `temperatures` shifted by its inlet drift.
+struct NominalDesign {
+  CoolingProblem problem;
+  CoolingNetwork network;
+  SimConfig sim;
+  double p_command = 0.0;
+  std::shared_ptr<const ThermalModel> model;
+  ThermalProbe at_p;  ///< verdict probe at p_command
+  double w_pump = 0.0;
+  std::vector<double> temperatures;  ///< node temperatures at p_command
+};
+
+/// Build and probe the nominal design. Throws when it cannot be evaluated —
+/// a design that cannot be simulated has no business being swept.
+NominalDesign evaluate_nominal(const CoolingProblem& problem,
+                               const CoolingNetwork& network,
+                               double p_command, const SimConfig& sim);
+
+/// Evaluate one scenario at the nominal commanded pressure (the scenario's
+/// droop decides what is delivered), planning recovery when asked. The
+/// scenario is applied as split_scenario() splits it: blockages build a
+/// degraded model, droop derates the pump, drift and power excursions are
+/// the evaluator's BoundaryState. The recovery search enters Algorithm 3 at
+/// the delivered pressure, which leaves its result that of a cold search.
+/// Exposed for tests and for custom (non-Monte-Carlo) what-if studies.
+ScenarioOutcome evaluate_scenario(const NominalDesign& nominal,
                                   const FaultScenario& scenario,
                                   const DesignConstraints& limits,
-                                  double p_command, const SweepOptions& options);
+                                  const SweepOptions& options);
 
 /// Run the full sweep. `p_nominal` is the design's commanded operating
 /// pressure (e.g. EvalResult::p_sys from evaluate_p1). Throws when the

@@ -151,20 +151,6 @@ void source_metrics(const AssembledThermal& system,
   }
 }
 
-std::variant<Thermal2RM, Thermal4RM> make_sim(const CoolingProblem& problem,
-                                              const CoolingNetwork& network,
-                                              const SimConfig& config) {
-  std::vector<CoolingNetwork> nets(
-      static_cast<std::size_t>(problem.stack.channel_count()), network);
-  if (config.model == ThermalModelKind::k4RM) {
-    return std::variant<Thermal2RM, Thermal4RM>(
-        std::in_place_type<Thermal4RM>, problem, std::move(nets));
-  }
-  return std::variant<Thermal2RM, Thermal4RM>(
-      std::in_place_type<Thermal2RM>, problem, std::move(nets),
-      config.thermal_cell);
-}
-
 void validate_config(const CoolingProblem& problem,
                      const ScenarioConfig& config) {
   LCN_REQUIRE(config.dt > 0.0, "scenario dt must be positive");
@@ -244,19 +230,16 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
   ProgressSink* const progress = task_progress_sink();
 
   // Nominal model; rebuilt when the active structural-fault set changes.
-  std::variant<Thermal2RM, Thermal4RM> sim =
-      make_sim(problem, network, config.sim);
-  auto plan_of = [](const std::variant<Thermal2RM, Thermal4RM>& s)
-      -> const ThermalAssemblyPlan& {
+  ThermalModel sim = make_thermal_model(problem, network, config.sim);
+  auto plan_of = [](const ThermalModel& s) -> const ThermalAssemblyPlan& {
     return std::visit([](const auto& m) -> const ThermalAssemblyPlan& {
       return m.plan();
     }, s);
   };
-  auto unit_flow_of = [](const std::variant<Thermal2RM, Thermal4RM>& s) {
+  auto unit_flow_of = [](const ThermalModel& s) {
     return std::visit([](const auto& m) { return m.system_flow(1.0); }, s);
   };
-  auto pump_power_of = [](const std::variant<Thermal2RM, Thermal4RM>& s,
-                          double p) {
+  auto pump_power_of = [](const ThermalModel& s, double p) {
     return std::visit([p](const auto& m) { return m.pumping_power(p); }, s);
   };
 
@@ -299,7 +282,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
           apply_scenario(problem, network, structural);
       const std::size_t old_nodes =
           std::visit([](const auto& m) { return m.node_count(); }, sim);
-      sim = make_sim(degraded.problem, degraded.network, config.sim);
+      sim = make_thermal_model(degraded.problem, degraded.network, config.sim);
       const std::size_t new_nodes =
           std::visit([](const auto& m) { return m.node_count(); }, sim);
       LCN_CHECK(new_nodes == old_nodes,

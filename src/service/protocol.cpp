@@ -155,11 +155,13 @@ std::string result_json(std::uint64_t id, const JobResult& result) {
   }
   if (result.status == JobStatus::kDone) {
     out += strfmt(
-        ",\"feasible\":%s,\"score\":%.17g,\"p_sys\":%.17g,\"w_pump\":%.17g,"
-        "\"t_max\":%.17g,\"delta_t\":%.17g,\"direction\":%d,"
+        ",\"feasible\":%s,\"score\":%s,\"p_sys\":%s,\"w_pump\":%s,"
+        "\"t_max\":%s,\"delta_t\":%s,\"direction\":%d,"
         "\"design_hash\":\"%016llx\",\"evaluations\":%zu",
-        result.feasible ? "true" : "false", result.score, result.p_sys,
-        result.w_pump, result.t_max, result.delta_t, result.direction,
+        result.feasible ? "true" : "false", json_number(result.score).c_str(),
+        json_number(result.p_sys).c_str(), json_number(result.w_pump).c_str(),
+        json_number(result.t_max).c_str(),
+        json_number(result.delta_t).c_str(), result.direction,
         static_cast<unsigned long long>(result.design_hash),
         result.evaluations);
     if (!result.network_text.empty()) {
@@ -168,17 +170,18 @@ std::string result_json(std::uint64_t id, const JobResult& result) {
     }
     if (result.scenarios > 0) {
       out += strfmt(
-          ",\"scenarios\":%zu,\"p_exceed_t_max\":%.17g,"
-          "\"p_exceed_delta_t\":%.17g,\"unrecoverable\":%zu",
-          result.scenarios, result.p_exceed_t_max, result.p_exceed_delta_t,
-          result.unrecoverable);
+          ",\"scenarios\":%zu,\"p_exceed_t_max\":%s,"
+          "\"p_exceed_delta_t\":%s,\"unrecoverable\":%zu",
+          result.scenarios, json_number(result.p_exceed_t_max).c_str(),
+          json_number(result.p_exceed_delta_t).c_str(), result.unrecoverable);
     }
     if (result.scenario_steps > 0) {
       out += strfmt(
-          ",\"scenario_steps\":%zu,\"peak_t_max\":%.17g,"
-          "\"peak_delta_t\":%.17g,\"final_inlet\":%.17g",
-          result.scenario_steps, result.peak_t_max, result.peak_delta_t,
-          result.final_inlet);
+          ",\"scenario_steps\":%zu,\"peak_t_max\":%s,"
+          "\"peak_delta_t\":%s,\"final_inlet\":%s",
+          result.scenario_steps, json_number(result.peak_t_max).c_str(),
+          json_number(result.peak_delta_t).c_str(),
+          json_number(result.final_inlet).c_str());
     }
   }
   out += strfmt(",\"seconds\":%.6f,\"start_order\":%llu", result.seconds,

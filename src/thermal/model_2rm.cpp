@@ -212,6 +212,12 @@ AssembledThermal Thermal2RM::assemble(double p_sys) const {
   return plan().assemble(p_sys);
 }
 
+AssembledThermal Thermal2RM::assemble(double p_sys,
+                                      const BoundaryState& boundary) const {
+  LCN_TRACE_SPAN_FINE("assemble_2rm");
+  return plan().assemble(p_sys, boundary);
+}
+
 const ThermalAssemblyPlan& Thermal2RM::plan() const {
   std::lock_guard<std::mutex> lock(*plan_mutex_);
   if (!plan_) plan_ = build_plan();

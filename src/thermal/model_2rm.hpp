@@ -40,6 +40,9 @@ class Thermal2RM {
   /// pattern + P_sys-invariant values); every call — including the first —
   /// produces a system bit-identical to the historical fresh traversal.
   AssembledThermal assemble(double p_sys) const;
+  /// assemble(p_sys) under a per-step boundary (inlet temperature, power
+  /// scale per source layer; ThermalAssemblyPlan::assemble).
+  AssembledThermal assemble(double p_sys, const BoundaryState& boundary) const;
   ThermalField simulate(double p_sys) const;
 
   /// The cached symbolic assembly plan (built on first use; shared across

@@ -35,6 +35,9 @@ class Thermal4RM {
   /// values); every call — including the first — produces a system
   /// bit-identical to the historical fresh traversal.
   AssembledThermal assemble(double p_sys) const;
+  /// assemble(p_sys) under a per-step boundary (inlet temperature, power
+  /// scale per source layer; ThermalAssemblyPlan::assemble).
+  AssembledThermal assemble(double p_sys, const BoundaryState& boundary) const;
 
   /// The cached symbolic assembly plan (built on first use; shared across
   /// copies of this model).

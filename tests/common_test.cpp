@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -107,6 +108,14 @@ TEST(Strings, SplitAndTrim) {
 TEST(Strings, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(strfmt("%.3f", 1.5), "1.500");
+}
+
+TEST(Strings, JsonNumberWritesNullForNonFiniteValues) {
+  EXPECT_EQ(json_number(0.1), strfmt("%.17g", 0.1));
+  EXPECT_EQ(json_number(1.0 / 3.0, 9), strfmt("%.9g", 1.0 / 3.0));
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity(), 9), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
 TEST(Env, ParsesAndFallsBack) {

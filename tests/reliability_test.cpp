@@ -116,9 +116,10 @@ TEST(FaultModelTest, FullyBlockedInletBranchIsInfeasible) {
   const DegradedSystem degraded = apply_scenario(problem, net, scenario);
   EXPECT_LT(degraded.network.liquid_count(), net.liquid_count());
 
-  const ScenarioOutcome outcome =
-      evaluate_scenario(degraded, scenario, loose_limits(), 5000.0,
-                        small_sweep_options());
+  const SweepOptions options = small_sweep_options();
+  const ScenarioOutcome outcome = evaluate_scenario(
+      evaluate_nominal(problem, net, 5000.0, options.sim), scenario,
+      loose_limits(), options);
   EXPECT_FALSE(outcome.evaluated);
   EXPECT_FALSE(outcome.feasible);
   EXPECT_EQ(outcome.recovery, RecoveryKind::kUnrecoverable);
@@ -182,9 +183,9 @@ TEST(SweepTest, DroopOnlyScenarioIsRecoverableWithHigherCommand) {
 
   FaultScenario scenario;
   scenario.faults.push_back({FaultKind::kPumpDroop, 0, 0, 0, 0.4, 0.0, -1});
-  const DegradedSystem degraded = apply_scenario(problem, net, scenario);
-  const ScenarioOutcome outcome =
-      evaluate_scenario(degraded, scenario, limits, nominal.p_sys, options);
+  const ScenarioOutcome outcome = evaluate_scenario(
+      evaluate_nominal(problem, net, nominal.p_sys, options.sim), scenario,
+      limits, options);
   ASSERT_TRUE(outcome.evaluated);
   EXPECT_FALSE(outcome.feasible);
   ASSERT_EQ(outcome.recovery, RecoveryKind::kRecovered);
@@ -230,6 +231,147 @@ TEST(SweepTest, SweepBumpsInstrumentationCounters) {
   // The new counters are part of the JSON record schema.
   EXPECT_NE(delta.json().find("\"scenarios_evaluated\":12"),
             std::string::npos);
+}
+
+// A sweep applies drift and power excursions as a boundary on the nominal
+// model, starts every scenario from the nominal field and enters the
+// recovery search at the delivered pressure. None of that may change a
+// verdict: each scenario must classify, and recover at the same command and
+// pumping power, bit for bit as a cold Algorithm 2 on a fresh evaluator of
+// apply_scenario()'s degraded copy; the margins move only by solver
+// tolerance.
+TEST(SweepTest, RecoveryMatchesAColdSearch) {
+  const BenchmarkCase bench = make_iccad_case(1);
+  const Grid2D& grid = bench.problem.grid;
+  const int b1 = grid.cols() / 3 - (grid.cols() / 3) % 2;
+  const int b2 = 2 * grid.cols() / 3 - (2 * grid.cols() / 3) % 2;
+  const CoolingNetwork net =
+      make_tree_network(grid, make_uniform_layout(grid, b1, b2));
+  const DesignConstraints& limits = bench.constraints;
+  SweepOptions options;
+  options.scenarios = 16;
+  options.seed = 1;
+  SystemEvaluator nominal_eval(bench.problem, net, options.sim);
+  const EvalResult nominal =
+      evaluate_p1(nominal_eval, limits, options.search);
+  ASSERT_TRUE(nominal.feasible);
+
+  const instrument::Snapshot before = instrument::snapshot();
+  const SweepReport report =
+      run_sweep(bench.problem, net, limits, nominal.p_sys, options);
+  const instrument::Snapshot delta =
+      instrument::delta(before, instrument::snapshot());
+  ASSERT_EQ(report.outcomes.size(), 16u);
+  EXPECT_GT(report.recovered, 0u);
+  // Every recovery search entered at its hint.
+  EXPECT_GT(delta.recovery_searches, 0u);
+  EXPECT_EQ(delta.search_entries, delta.recovery_searches);
+
+  for (std::size_t k = 0; k < report.outcomes.size(); ++k) {
+    const ScenarioOutcome& out = report.outcomes[k];
+    const DegradedSystem degraded =
+        apply_scenario(bench.problem, net, out.scenario);
+    EXPECT_EQ(out.p_delivered, degraded.delivered_pressure(nominal.p_sys))
+        << "scenario " << k;
+    bool evaluated = false;
+    RecoveryKind recovery = RecoveryKind::kUnrecoverable;
+    double recovery_p_sys = 0.0;
+    double recovery_w_pump = 0.0;
+    try {
+      SystemEvaluator cold(degraded.problem, degraded.network, options.sim);
+      const ThermalProbe at_p = cold.probe(out.p_delivered);
+      evaluated = true;
+      EXPECT_EQ(out.w_pump, cold.pumping_power(out.p_delivered))
+          << "scenario " << k;
+      EXPECT_NEAR(out.at_p.delta_t, at_p.delta_t, 1e-5 * at_p.delta_t)
+          << "scenario " << k;
+      EXPECT_NEAR(out.at_p.t_max, at_p.t_max, 1e-5 * at_p.t_max)
+          << "scenario " << k;
+      if (at_p.t_max <= limits.t_max && at_p.delta_t <= limits.delta_t_max) {
+        recovery = RecoveryKind::kNotNeeded;
+      } else {
+        SystemEvaluator fresh(degraded.problem, degraded.network,
+                              options.sim);
+        const EvalResult cold_search =
+            evaluate_p1(fresh, limits, options.search);
+        if (cold_search.feasible) {
+          recovery = RecoveryKind::kRecovered;
+          recovery_p_sys = cold_search.p_sys / degraded.pressure_derate;
+          recovery_w_pump = cold_search.w_pump;
+        }
+      }
+    } catch (const RuntimeError&) {
+    }
+    EXPECT_EQ(out.evaluated, evaluated) << "scenario " << k;
+    EXPECT_EQ(out.recovery, recovery) << "scenario " << k;
+    EXPECT_EQ(out.recovery_p_sys, recovery_p_sys) << "scenario " << k;
+    EXPECT_EQ(out.recovery_w_pump, recovery_w_pump) << "scenario " << k;
+  }
+}
+
+// A scenario without a blockage evaluates on the nominal model: no flow
+// solve (so no flow-plan lookup) and no symbolic assembly of its own, not
+// even in its recovery search. Partial blockages keep the network, so their
+// flow plan is a cache hit and each costs exactly one thermal plan.
+TEST(SweepTest, BoundaryOnlyScenariosBuildNoModel) {
+  const CoolingProblem problem = small_problem();
+  const CoolingNetwork net = tree_network(problem);
+  DesignConstraints limits;
+  limits.delta_t_max = 12.0;
+  limits.t_max = 400.0;
+  // At the Algorithm-2 operating point every droop, drift or excursion
+  // breaks a limit, so the recovery searches run too.
+  SystemEvaluator eval(problem, net, SimConfig{ThermalModelKind::k2RM, 4});
+  const EvalResult nominal_point =
+      evaluate_p1(eval, limits, small_sweep_options().search);
+  ASSERT_TRUE(nominal_point.feasible);
+  struct Builds {
+    SweepReport report;
+    std::uint64_t symbolic = 0;
+    std::uint64_t flow_lookups = 0;
+  };
+  auto sweep = [&](const SweepOptions& options) {
+    const instrument::Snapshot before = instrument::snapshot();
+    Builds out{
+        run_sweep(problem, net, limits, nominal_point.p_sys, options)};
+    const instrument::Snapshot delta =
+        instrument::delta(before, instrument::snapshot());
+    out.symbolic = delta.assemblies_symbolic;
+    out.flow_lookups = delta.flow_plan_hits + delta.flow_plan_misses;
+    return out;
+  };
+  SweepOptions nominal_only = small_sweep_options(0);
+  sweep(nominal_only);  // warms the flow-plan cache
+  const Builds nominal = sweep(nominal_only);
+  EXPECT_EQ(nominal.symbolic, 1u);
+
+  SweepOptions boundary_only = small_sweep_options(16);
+  boundary_only.distribution.p_blockage = 0.0;
+  const Builds faults = sweep(boundary_only);
+  std::size_t faulted = 0;
+  for (const ScenarioOutcome& out : faults.report.outcomes) {
+    if (!out.scenario.empty()) ++faulted;
+  }
+  EXPECT_GT(faulted, 0u);
+  EXPECT_GT(faults.report.infeasible, 0u);
+  EXPECT_EQ(faults.symbolic, nominal.symbolic);
+  EXPECT_EQ(faults.flow_lookups, nominal.flow_lookups);
+
+  SweepOptions mixed = small_sweep_options(16);
+  mixed.distribution.full_blockage_fraction = 0.0;
+  const Builds both = sweep(mixed);
+  std::uint64_t blocked = 0;
+  for (const ScenarioOutcome& out : both.report.outcomes) {
+    for (const Fault& fault : out.scenario.faults) {
+      if (fault.kind == FaultKind::kChannelBlockage) {
+        ++blocked;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(blocked, 0u);
+  EXPECT_LT(blocked, 16u);
+  EXPECT_EQ(both.symbolic, 1 + blocked);
 }
 
 TEST(RobustTest, EmptySampleEqualsNominalEvaluation) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -456,6 +457,49 @@ TEST(ServiceProgress, SaIterEventsStreamToTheSessionSink) {
   }
   // Two stages x 3 iterations of the short schedule.
   EXPECT_EQ(sa_iters, 6u);
+}
+
+// An infeasible design scores +inf, which JSON cannot hold: the streamed
+// sa_iter args and the result line must write null there and still parse.
+TEST(ServiceProgress, InfeasibleScoresStreamAsJsonNull) {
+  Scheduler scheduler(Scheduler::Options{1});
+  RecordingSink sink;
+  JobRequest request = design_request(11);
+  auto bench = std::make_shared<BenchmarkCase>(service_case());
+  bench->constraints.delta_t_max = 0.5;  // no tree meets it
+  request.custom_case = std::move(bench);
+  const std::uint64_t id = scheduler.submit(request, &sink);
+  const JobResult result = scheduler.wait(id);
+  ASSERT_EQ(result.status, JobStatus::kDone) << result.error;
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.score, std::numeric_limits<double>::infinity());
+
+  service::JsonObject obj;
+  std::string error;
+  std::size_t null_scores = 0;
+  {
+    std::lock_guard<std::mutex> lock(sink.mutex);
+    for (const auto& [name, args] : sink.events) {
+      if (name != "sa_iter") continue;
+      ASSERT_TRUE(service::parse_json_object("{" + args + "}", obj, error))
+          << error << ": " << args;
+      EXPECT_TRUE(obj.has("stage")) << args;
+      if (!obj.has("best")) ++null_scores;  // null parses as absent
+    }
+  }
+  EXPECT_GT(null_scores, 0u);
+
+  // The flat head of the result line; the nested counters and metrics are
+  // composed from fragments that are valid JSON already.
+  const std::string line = service::result_json(id, result);
+  const std::size_t nested = line.find(",\"counters\":");
+  ASSERT_NE(nested, std::string::npos) << line;
+  ASSERT_TRUE(
+      service::parse_json_object(line.substr(0, nested) + "}", obj, error))
+      << error << ": " << line;
+  EXPECT_NE(line.find("\"score\":null"), std::string::npos) << line;
+  EXPECT_FALSE(obj.has("score"));
+  EXPECT_TRUE(obj.has("p_sys"));
 }
 
 /// The "probes" arg of every sa_iter event a sink received, in order.
