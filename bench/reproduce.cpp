@@ -4,11 +4,14 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string_view>
 
+#include "common/assert.hpp"
 #include "common/env.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 
 namespace lcn::reproduce {
 
@@ -104,6 +107,12 @@ int run(const Experiment& e) {
 int main(int argc, char** argv) {
   using namespace lcn::reproduce;
   if (argc != 2) return usage();
+  try {
+    lcn::parse_pool_threads(std::getenv("LCN_THREADS"));
+  } catch (const lcn::RuntimeError& error) {
+    std::fprintf(stderr, "reproduce: %s\n", error.what());
+    return 2;
+  }
   const std::string_view name = argv[1];
   if (name == "all") {
     int status = 0;

@@ -16,6 +16,11 @@ fine-level cg_solve / bicgstab_solve spans (present at LCN_TRACE_LEVEL=2):
 per solver, the solve count, how many did not converge, and the p50 / p99 /
 max iterations (nearest rank).
 
+Then a thread census: per tid, the busy seconds covered by its outermost
+spans, and the share of the trace's wall time (first to last event) in which
+exactly one thread was busy. On a full-width trace that share is the serial
+part the coarse fan-out has not reached.
+
 --folded writes collapsed-stack lines ("root;child;leaf <microseconds>"),
 the input format of standard flamegraph tooling (flamegraph.pl, speedscope,
 inferno). Samples are integer microseconds of *self* time per unique stack.
@@ -56,14 +61,19 @@ class SpanStats:
 
 
 def aggregate(lines):
-    """Return (stats_by_name, folded_by_stack, krylov, event_count, errors).
+    """Return (stats_by_name, folded_by_stack, krylov, busy, wall, event_count,
+    errors).
 
     krylov maps each Krylov span name to its solves' (iters, converged).
+    busy maps each tid to the (start_ns, end_ns) of its outermost spans;
+    wall is the (first, last) event timestamp, or None for an empty trace.
     """
     errors = []
     stats = {}    # name -> SpanStats
     folded = {}   # "a;b;c" -> self_ns
     krylov = {}   # "bicgstab_solve" -> [(iters, converged), ...]
+    busy = {}     # tid -> [(start_ns, end_ns), ...] of outermost spans
+    wall = None   # (first ts_ns, last ts_ns) over every event
     # tid -> [[name, start_ns, child_ns], ...] of open B events
     stacks = {}
     last_ts = {}  # tid -> last seen ts_ns
@@ -95,6 +105,8 @@ def aggregate(lines):
                 f"line {lineno}: non-monotonic ts_ns on tid {tid} "
                 f"({ts_ns} < {last_ts[tid]})")
         last_ts[tid] = ts_ns
+        wall = (ts_ns, ts_ns) if wall is None else (
+            min(wall[0], ts_ns), max(wall[1], ts_ns))
         if ph == "B":
             stacks.setdefault(tid, []).append([name, ts_ns, 0])
         elif ph == "E":
@@ -119,11 +131,13 @@ def aggregate(lines):
             folded[path] = folded.get(path, 0) + self_ns
             if stack:
                 stack[-1][2] += total_ns  # bill total into the parent
+            else:
+                busy.setdefault(tid, []).append((start_ns, ts_ns))
     for tid, stack in stacks.items():
         if stack:
             open_names = [frame[0] for frame in stack]
             errors.append(f"tid {tid}: unclosed span(s) at EOF: {open_names}")
-    return stats, folded, krylov, events, errors
+    return stats, folded, krylov, busy, wall, events, errors
 
 
 def fmt_ms(ns):
@@ -175,6 +189,40 @@ def render_census(krylov):
     return "\n".join(lines)
 
 
+def single_busy_ns(busy):
+    """Nanoseconds in which exactly one thread is inside an outermost span."""
+    edges = []
+    for spans in busy.values():
+        for start_ns, end_ns in spans:
+            edges.append((start_ns, 1))
+            edges.append((end_ns, -1))
+    edges.sort()
+    single = 0
+    active = 0
+    prev = None
+    for ts_ns, step in edges:
+        if active == 1:
+            single += ts_ns - prev
+        active += step
+        prev = ts_ns
+    return single
+
+
+def render_threads(busy, wall):
+    if not busy or wall is None:
+        return "thread census: no completed outermost spans"
+    lines = []
+    for tid in sorted(busy):
+        secs = sum(end - start for start, end in busy[tid]) / 1e9
+        lines.append(f"thread census: tid {tid} busy {secs:.3f} s "
+                     f"in {len(busy[tid])} outermost spans")
+    wall_ns = wall[1] - wall[0]
+    share = single_busy_ns(busy) / wall_ns if wall_ns > 0 else 0.0
+    lines.append(f"thread census: {len(busy)} threads, wall "
+                 f"{wall_ns / 1e9:.3f} s, one thread busy {share:.1%} of it")
+    return "\n".join(lines)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Per-span self/total-time rollups from an LCN JSONL "
@@ -188,7 +236,7 @@ def main(argv):
     args = parser.parse_args(argv[1:])
 
     with open(args.trace, encoding="utf-8") as fh:
-        stats, folded, krylov, events, errors = aggregate(fh)
+        stats, folded, krylov, busy, wall, events, errors = aggregate(fh)
     for err in errors:
         print(f"trace_profile: {err}", file=sys.stderr)
 
@@ -197,6 +245,7 @@ def main(argv):
     else:
         print("trace_profile: no completed spans in trace", file=sys.stderr)
     print(render_census(krylov))
+    print(render_threads(busy, wall))
 
     if args.folded:
         with open(args.folded, "w", encoding="utf-8") as fh:

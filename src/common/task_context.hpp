@@ -6,7 +6,7 @@
 // share of the thread pool, progress streaming — travels with the *task*
 // instead. A TaskContext
 // is installed on the submitting thread (ScopedTaskContext) and
-// ThreadPool::parallel_for re-installs it on every worker that drains the
+// the ThreadPool re-installs it on every worker that drains the
 // task's shards, so a kernel deep inside an SA neighbor evaluation bills its
 // counters to the right session no matter which thread runs it.
 //
@@ -59,10 +59,10 @@ struct TaskContext {
   metrics::MetricShard* telemetry = nullptr;
   /// Cooperative cancellation flag (owned by the scheduler job / the CLI's
   /// SIGINT handler). Checked at coordinator loop boundaries, never inside
-  /// parallel kernels, so partial results are never observed.
+  /// a numerical kernel, so partial results are never observed.
   const std::atomic<bool>* cancel = nullptr;
   /// The job's current share of the pool width (fair-share scheduling);
-  /// parallel_for fans out over at most this many workers. null or a loaded
+  /// a pool loop fans out over at most this many workers. null or a loaded
   /// value of 0 means "whole pool". Atomic so the scheduler can rebalance a
   /// running job when others start or finish.
   const std::atomic<std::size_t>* pool_share = nullptr;
@@ -78,7 +78,7 @@ struct TaskContext {
 const TaskContext* current_task_context();
 
 /// Install `ctx` on this thread for the scope's lifetime (restores the
-/// previous one on destruction). ThreadPool::parallel_for captures the
+/// previous one on destruction). A ThreadPool loop captures the
 /// submitter's context and wraps every shard drain in one of these.
 class ScopedTaskContext {
  public:

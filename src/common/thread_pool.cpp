@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdlib>
 #include <exception>
 #include <memory>
+#include <string>
+#include <string_view>
 
-#include "common/env.hpp"
+#include "common/assert.hpp"
 #include "common/task_context.hpp"
 
 namespace lcn {
@@ -135,7 +139,20 @@ void ThreadPool::parallel_for(std::size_t count,
   if (state->first_error) std::rethrow_exception(state->first_error);
 }
 
-bool ThreadPool::in_task() { return t_in_task; }
+std::size_t parse_pool_threads(const char* raw) {
+  if (raw == nullptr || *raw == '\0') return 0;
+  const std::string_view text(raw);
+  std::size_t threads = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), threads);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      threads > kMaxPoolThreads) {
+    throw RuntimeError("LCN_THREADS: `" + std::string(text) +
+                       "` is not a pool width in 0-" +
+                       std::to_string(kMaxPoolThreads));
+  }
+  return threads;
+}
 
 namespace {
 std::mutex g_pool_mutex;
@@ -143,7 +160,7 @@ std::unique_ptr<ThreadPool> g_pool;
 std::atomic<ThreadPool*> g_pool_ptr{nullptr};
 
 std::size_t default_pool_threads() {
-  return static_cast<std::size_t>(env_int("LCN_THREADS", 0));
+  return parse_pool_threads(std::getenv("LCN_THREADS"));
 }
 }  // namespace
 

@@ -1,8 +1,13 @@
-// Fixed-size thread pool with a parallel_for_each helper.
+// Fixed-size thread pool with a parallel_for helper.
 //
 // The paper evaluates 64 SA neighbors simultaneously on an 80-core server;
 // we reproduce the structure with a pool sized to the host (or to the
 // LCN_THREADS env knob) so schedules stay identical regardless of core count.
+// The pool serves the coarse loops only — SA/island neighbours, exhaustive
+// grid points and reliability-sweep scenarios. The numerical kernels under
+// them (SpMV, vector ops, assembly, transient steps) always run on the
+// calling thread, and a parallel_for issued from inside a pool task runs
+// inline, so there is one level of parallelism.
 //
 // Share-aware submission (DESIGN.md §S22): parallel_for captures the
 // submitting thread's TaskContext (common/task_context.hpp) and re-installs
@@ -37,14 +42,10 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Run fn(i) for i in [0, count) across the pool; blocks until all done.
-  /// Exceptions from tasks are captured and the first one is rethrown.
+  /// Exceptions from tasks are captured and the first one is rethrown. A
+  /// call made from inside another parallel_for task (on any pool) runs
+  /// inline on the calling thread.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-
-  /// True while the calling thread is executing a parallel_for task (on any
-  /// pool). Data-parallel kernels check this to stay serial when they are
-  /// already inside an outer parallel region (e.g. SpMV inside an SA
-  /// neighbor evaluation), avoiding oversubscription.
-  static bool in_task();
 
  private:
   void worker_loop();
@@ -56,9 +57,18 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Pool shared by the optimizer and the parallel numerical kernels; sized by
-/// LCN_THREADS (default: all cores; 1 keeps every kernel on the legacy
-/// serial path).
+/// Largest pool width LCN_THREADS may name.
+inline constexpr std::size_t kMaxPoolThreads = 1024;
+
+/// Pool width named by an LCN_THREADS value. Unset (null), empty and "0"
+/// mean hardware width and return 0. Anything other than a decimal integer
+/// in [0, kMaxPoolThreads] throws RuntimeError naming LCN_THREADS. Starts no
+/// thread.
+std::size_t parse_pool_threads(const char* raw);
+
+/// Pool shared by the coarse loops (SA neighbours, exhaustive search, sweep
+/// scenarios); sized by LCN_THREADS (default: all cores; 1 runs every loop
+/// inline on the calling thread).
 ThreadPool& global_pool();
 
 /// Rebuild the global pool with `threads` workers (0 = LCN_THREADS/default).

@@ -12,9 +12,9 @@
 // pumping-power cost) or unrecoverable.
 //
 // Determinism: scenario k is sampled from an rng stream keyed by
-// (seed, k) and evaluations are bit-identical at any thread count (PR-1
-// serial-equivalence contract), so fanning the sweep over the LCN_THREADS
-// pool and reducing in scenario order yields bit-identical statistics for
+// (seed, k) and each scenario's evaluation runs on the one pool worker that
+// draws it, so fanning the sweep over the LCN_THREADS pool and reducing in
+// scenario order yields bit-identical statistics for
 // LCN_THREADS ∈ {1, 2, 4, 8, ...}.
 #pragma once
 

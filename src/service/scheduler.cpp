@@ -279,7 +279,7 @@ void Scheduler::publish_gauges_locked() const {
 void Scheduler::rebalance_locked() {
   // Weighted fair share of the pool width over running jobs (§S22):
   // share_i = max(1, W * weight_i / total_weight). Shares are advisory caps
-  // on parallel_for fan-out, so rounding the sum above W merely time-slices
+  // on pool fan-out, so rounding the sum above W merely time-slices
   // the queue a little; correctness and determinism never depend on it.
   int total_weight = 0;
   for (const auto& [id, job] : jobs_) {
@@ -382,7 +382,7 @@ void Scheduler::watchdog_loop() {
 void Scheduler::execute(Job& job) {
   SessionContext& session = *job.session;
   // The runner thread is the job's coordinator: install the session context
-  // here and every parallel_for below propagates it to the pool workers.
+  // here and every pool loop below propagates it to the pool workers.
   SessionScope scope(session);
   WallTimer timer;
   JobStatus final_status = JobStatus::kDone;

@@ -4,9 +4,10 @@
 // fair-share weight. A small set of runner threads executes one job each;
 // every running job gets a SessionContext whose pool_share is
 // max(1, W * weight / total_weight) of the LCN_THREADS pool width, recomputed
-// whenever a job starts or finishes, so a long design run cannot starve a
-// short evaluate job of pool workers — parallel_for fans each job out over at
-// most its share. Cancellation and deadlines are cooperative: the watchdog
+// whenever a job starts or finishes. Only design jobs (SA neighbours) and
+// sweep jobs (fault scenarios) fan out over the pool, each over at most its
+// share, so a long design run cannot starve a concurrent sweep of workers;
+// evaluate and scenario jobs run on their runner thread. Cancellation and deadlines are cooperative: the watchdog
 // raises the session's cancel flag and the job unwinds at its next
 // cancellation point with lcn::Cancelled.
 #pragma once

@@ -5,7 +5,7 @@
 // cooperative cancellation flag, the job's fair share of the pool, and the
 // progress sink streaming sa_iter events back to the submitting client. The
 // scheduler installs the session's TaskContext on the runner thread for the
-// job's whole lifetime; ThreadPool::parallel_for propagates it to every
+// job's whole lifetime; the ThreadPool propagates it to every
 // worker, so concurrent jobs never observe each other's state and results are
 // bit-identical to running the same job alone in a fresh process.
 #pragma once
@@ -56,7 +56,7 @@ class SessionContext {
     return cancel_.load(std::memory_order_relaxed);
   }
 
-  /// Fair-share width granted by the scheduler; parallel_for calls under this
+  /// Fair-share width granted by the scheduler; pool loops under this
   /// session fan out over at most this many workers. 0 = whole pool.
   void set_pool_share(std::size_t width) {
     pool_share_.store(width, std::memory_order_relaxed);

@@ -6,8 +6,6 @@
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
 #include "common/metrics.hpp"
-#include "common/thread_pool.hpp"
-#include "sparse/parallel.hpp"
 
 namespace lcn::sparse {
 
@@ -44,7 +42,11 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, SharedIndexes row_ptr,
               "row_ptr must terminate at nnz");
 }
 
-void CsrMatrix::multiply_serial(const Vector& x, Vector& y) const {
+void CsrMatrix::multiply(const Vector& x, Vector& y) const {
+  const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
+                                       metrics::kFine);
+  instrument::add(instrument::Counter::spmv_count);
+  instrument::add(instrument::Counter::spmv_nnz, nnz());
   LCN_REQUIRE(x.size() == cols_, "SpMV: x size mismatch");
   y.resize(rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -54,43 +56,6 @@ void CsrMatrix::multiply_serial(const Vector& x, Vector& y) const {
     }
     y[r] = sum;
   }
-}
-
-void CsrMatrix::multiply(const Vector& x, Vector& y) const {
-  const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
-                                       metrics::kFine);
-  instrument::add(instrument::Counter::spmv_count);
-  instrument::add(instrument::Counter::spmv_nnz, nnz());
-  if (!parallel_kernels_enabled(nnz(), kSpmvGrain)) {
-    multiply_serial(x, y);
-    return;
-  }
-  LCN_REQUIRE(x.size() == cols_, "SpMV: x size mismatch");
-  y.resize(rows_);
-  // Partition rows so each range carries a similar nonzero load: row_ptr is
-  // the nnz prefix sum, so the p-th boundary is the first row whose prefix
-  // reaches p/parts of nnz.
-  const std::size_t total = nnz();
-  const std::size_t parts =
-      std::min(global_pool_threads(), std::max<std::size_t>(rows_, 1));
-  std::vector<std::size_t> bounds(parts + 1, rows_);
-  bounds[0] = 0;
-  for (std::size_t p = 1; p < parts; ++p) {
-    const std::size_t target = total * p / parts;
-    bounds[p] = static_cast<std::size_t>(
-        std::lower_bound(row_ptr_->begin(), row_ptr_->end(), target) -
-        row_ptr_->begin());
-  }
-  global_pool().parallel_for(parts, [&](std::size_t p) {
-    const std::size_t r1 = std::min(bounds[p + 1], rows_);
-    for (std::size_t r = bounds[p]; r < r1; ++r) {
-      double sum = 0.0;
-      for (std::size_t k = (*row_ptr_)[r]; k < (*row_ptr_)[r + 1]; ++k) {
-        sum += values_[k] * x[(*col_idx_)[k]];
-      }
-      y[r] = sum;
-    }
-  });
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {
@@ -177,22 +142,6 @@ CsrMatrix compress_triplets(std::size_t rows, std::size_t cols,
 
 CsrMatrix TripletList::to_csr() const {
   return compress_triplets(rows_, cols_, std::vector<Triplet>(triplets_));
-}
-
-CsrMatrix merge_to_csr(std::size_t rows, std::size_t cols,
-                       const std::vector<const TripletList*>& parts) {
-  std::size_t total = 0;
-  for (const TripletList* part : parts) {
-    LCN_REQUIRE(part != nullptr, "merge_to_csr: null part");
-    total += part->size();
-  }
-  std::vector<Triplet> merged;
-  merged.reserve(total);
-  for (const TripletList* part : parts) {
-    merged.insert(merged.end(), part->triplets().begin(),
-                  part->triplets().end());
-  }
-  return compress_triplets(rows, cols, std::move(merged));
 }
 
 }  // namespace lcn::sparse

@@ -63,16 +63,9 @@ class CsrMatrix {
   const SharedIndexes& shared_row_ptr() const { return row_ptr_; }
   const SharedIndexes& shared_col_idx() const { return col_idx_; }
 
-  /// y = A x. Rows are partitioned across the global thread pool (balanced
-  /// by nonzero count) when the matrix is large enough; each y[r] is
-  /// produced by exactly one task with the serial operation order, so the
-  /// result is bit-identical for every thread count.
+  /// y = A x, one row at a time on the calling thread.
   void multiply(const Vector& x, Vector& y) const;
   Vector multiply(const Vector& x) const;
-
-  /// Reference serial SpMV (always single-threaded; equivalence tests
-  /// compare the partitioned path against this).
-  void multiply_serial(const Vector& x, Vector& y) const;
 
   /// Entry lookup (binary search within the row); zero if absent.
   double at(std::size_t row, std::size_t col) const;
@@ -105,7 +98,6 @@ class TripletList {
   void add(std::size_t row, std::size_t col, double value);
   void reserve(std::size_t n) { triplets_.reserve(n); }
   std::size_t size() const { return triplets_.size(); }
-  const std::vector<Triplet>& triplets() const { return triplets_; }
 
   /// Sort, merge duplicates (summing), and build CSR.
   CsrMatrix to_csr() const;
@@ -115,12 +107,5 @@ class TripletList {
   std::size_t cols_;
   std::vector<Triplet> triplets_;
 };
-
-/// Concatenate partial triplet lists (in the given order) and build CSR.
-/// Row-block parallel assembly fills one list per block; concatenating in
-/// block order reproduces the exact serial triplet sequence, so the merged
-/// matrix is bit-identical to a single-list assembly for any thread count.
-CsrMatrix merge_to_csr(std::size_t rows, std::size_t cols,
-                       const std::vector<const TripletList*>& parts);
 
 }  // namespace lcn::sparse

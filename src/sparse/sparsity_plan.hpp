@@ -10,7 +10,7 @@
 // with no sorting and no index allocation.
 //
 // Bit-identity contract: refill() produces value arrays bit-identical to a
-// fresh TripletList::to_csr()/merge_to_csr() of the same triplet sequence.
+// fresh TripletList::to_csr() of the same triplet sequence.
 // Three facts make this exact rather than approximate:
 //   1. analyze() sorts with the same std::sort instantiation and the same
 //      comparator (triplet_pattern_order) as compress_triplets(). The sort's

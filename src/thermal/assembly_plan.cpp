@@ -1,6 +1,7 @@
 #include "thermal/assembly_plan.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
@@ -8,40 +9,14 @@
 
 namespace lcn {
 
-void ThermalAssemblyPlan::finalize(std::size_t nodes,
-                                   const std::vector<const Emitter*>& parts) {
+void ThermalAssemblyPlan::finalize(std::size_t nodes, Emitter em) {
   n = nodes;
-  std::size_t slots = 0;
-  std::size_t rhs_n = 0;
-  std::size_t out_n = 0;
-  std::size_t in_n = 0;
-  for (const Emitter* e : parts) {
-    LCN_REQUIRE(e != nullptr, "assembly plan: null emitter part");
-    slots += e->pattern.size();
-    rhs_n += e->rhs_ops.size();
-    out_n += e->outlet_units.size();
-    in_n += e->inflow_units.size();
-  }
-  std::vector<sparse::Triplet> merged;
-  merged.reserve(slots);
-  slot_value_.reserve(slots);
-  slot_form_.reserve(slots);
-  rhs_ops_.reserve(rhs_n);
-  outlet_units_.reserve(out_n);
-  inflow_units_.reserve(in_n);
-  for (const Emitter* e : parts) {
-    merged.insert(merged.end(), e->pattern.begin(), e->pattern.end());
-    slot_value_.insert(slot_value_.end(), e->slot_value.begin(),
-                       e->slot_value.end());
-    slot_form_.insert(slot_form_.end(), e->slot_form.begin(),
-                      e->slot_form.end());
-    rhs_ops_.insert(rhs_ops_.end(), e->rhs_ops.begin(), e->rhs_ops.end());
-    outlet_units_.insert(outlet_units_.end(), e->outlet_units.begin(),
-                         e->outlet_units.end());
-    inflow_units_.insert(inflow_units_.end(), e->inflow_units.begin(),
-                         e->inflow_units.end());
-  }
-  pattern_ = sparse::SparsityPlan::analyze(n, n, merged);
+  slot_value_ = std::move(em.slot_value);
+  slot_form_ = std::move(em.slot_form);
+  rhs_ops_ = std::move(em.rhs_ops);
+  outlet_units_ = std::move(em.outlet_units);
+  inflow_units_ = std::move(em.inflow_units);
+  pattern_ = sparse::SparsityPlan::analyze(n, n, em.pattern);
 }
 
 void ThermalAssemblyPlan::replay_rhs(double p_sys,

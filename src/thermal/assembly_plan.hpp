@@ -12,11 +12,10 @@
 //
 // Bit-identity contract: ThermalAssemblyPlan::assemble(p) reproduces the
 // fresh-traversal AssembledThermal bit-for-bit. Slots are recorded in the
-// canonical emission order (the same order the fresh traversal merges its
-// task-local buffers), values are recomputed with the identical expression
-// shapes (e.g. `cv * (unit * p) / 2.0`, never a pre-multiplied coefficient —
-// FP multiplication is not associative), and RHS contributions are replayed
-// as the original ordered sequence of `+=` operations.
+// traversal's emission order, values are recomputed with the identical
+// expression shapes (e.g. `cv * (unit * p) / 2.0`, never a pre-multiplied
+// coefficient — FP multiplication is not associative), and RHS contributions
+// are replayed as the original ordered sequence of `+=` operations.
 #pragma once
 
 #include <cstddef>
@@ -51,10 +50,8 @@ class ThermalAssemblyPlan {
     int layer;
   };
 
-  /// Task-local recording buffer. The model traversal fills one Emitter per
-  /// parallel task (mirroring its triplet-list parts) and merges them in
-  /// canonical order, so the recorded slot sequence equals the serial
-  /// emission sequence for any thread count.
+  /// Recording buffer for one plan build. The model traversal fills a
+  /// single Emitter in emission order and hands it to finalize().
   struct Emitter {
     std::vector<sparse::Triplet> pattern;  ///< values unused (placeholders)
     std::vector<double> slot_value;
@@ -104,9 +101,9 @@ class ThermalAssemblyPlan {
   sparse::Vector capacitance;
   std::vector<std::vector<std::size_t>> source_nodes;
 
-  /// Concatenate task-local emitters in canonical order and run the symbolic
-  /// analysis. Called once by the owning model after its traversal.
-  void finalize(std::size_t nodes, const std::vector<const Emitter*>& parts);
+  /// Take over the traversal's recording and run the symbolic analysis.
+  /// Called once by the owning model after its traversal.
+  void finalize(std::size_t nodes, Emitter em);
 
   /// Numeric refill: bit-identical to a fresh traversal at `p_sys`.
   AssembledThermal assemble(double p_sys) const;

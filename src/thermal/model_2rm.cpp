@@ -1,7 +1,6 @@
 #include "thermal/model_2rm.hpp"
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "flow/flow_solver.hpp"
 
@@ -238,30 +237,20 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal2RM::build_plan() const {
   plan->volumetric_heat = problem_.coolant.volumetric_heat;
   plan->inlet_temperature = problem_.inlet_temperature;
 
-  // One task per (layer, block row), exactly mirroring the historical
-  // fresh-assembly traversal: each task records into a task-local Emitter
-  // and writes only its own blocks' capacitance entries, so tasks are
-  // data-race free. Emitters are merged in canonical (layer, block-row)
-  // order afterwards, which reproduces the serial emission sequence exactly
-  // — the recorded plan (and every refill from it) is bit-identical for
-  // every thread count.
-  struct RowTask {
-    int layer = 0;
-    int block_row = 0;
-    ThermalAssemblyPlan::Emitter em;
-    RowTask(int l, int br) : layer(l), block_row(br) {}
+  // One pass over (layer, block row, block column) records every slot and
+  // RHS op in emission order; the plan's refills replay exactly this order.
+  ThermalAssemblyPlan::Emitter em;
+  auto add_pair = [&](std::ptrdiff_t i, std::ptrdiff_t j, double g) {
+    if (g <= 0.0 || i < 0 || j < 0) return;
+    const auto ii = static_cast<std::size_t>(i);
+    const auto jj = static_cast<std::size_t>(j);
+    em.add_const(ii, ii, g);
+    em.add_const(jj, jj, g);
+    em.add_const(ii, jj, -g);
+    em.add_const(jj, ii, -g);
   };
-  std::vector<RowTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(stack.layer_count()) *
-                static_cast<std::size_t>(block_rows_));
-  for (int l = 0; l < stack.layer_count(); ++l) {
-    for (int br = 0; br < block_rows_; ++br) tasks.emplace_back(l, br);
-  }
 
-  global_pool().parallel_for(tasks.size(), [&](std::size_t ti) {
-    RowTask& task = tasks[ti];
-    const int l = task.layer;
-    const int br = task.block_row;
+  for (int l = 0; l < stack.layer_count(); ++l) {
     const Layer& layer = stack.layer(l);
     const bool is_channel = layer.kind == LayerKind::kChannel;
     const std::vector<BlockStats>* stats =
@@ -274,18 +263,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal2RM::build_plan() const {
                                             problem_.coolant)
                    : 0.0;
 
-    ThermalAssemblyPlan::Emitter& em = task.em;
-    auto add_pair = [&](std::ptrdiff_t i, std::ptrdiff_t j, double g) {
-      if (g <= 0.0 || i < 0 || j < 0) return;
-      const auto ii = static_cast<std::size_t>(i);
-      const auto jj = static_cast<std::size_t>(j);
-      em.add_const(ii, ii, g);
-      em.add_const(jj, jj, g);
-      em.add_const(ii, jj, -g);
-      em.add_const(jj, ii, -g);
-    };
-
-    {
+    for (int br = 0; br < block_rows_; ++br) {
       for (int bc = 0; bc < block_cols_; ++bc) {
         const std::size_t b = block_index(br, bc);
         const CellRect rect = block_rect(br, bc);
@@ -453,13 +431,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal2RM::build_plan() const {
         }
       }
     }
-  });
-
-  // Merge task-local emitters in canonical order (matches the serial
-  // traversal order exactly).
-  std::vector<const ThermalAssemblyPlan::Emitter*> parts;
-  parts.reserve(tasks.size());
-  for (const RowTask& task : tasks) parts.push_back(&task.em);
+  }
 
   // Source maps (block row-major).
   for (int l = 0; l < stack.layer_count(); ++l) {
@@ -476,7 +448,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal2RM::build_plan() const {
     plan->source_nodes.push_back(std::move(nodes));
   }
 
-  plan->finalize(n, parts);
+  plan->finalize(n, std::move(em));
   return plan;
 }
 

@@ -1,9 +1,6 @@
 #include "thermal/model_4rm.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 
 namespace lcn {
@@ -94,7 +91,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
   plan->volumetric_heat = problem_.coolant.volumetric_heat;
   plan->inlet_temperature = problem_.inlet_temperature;
 
-  // Per-layer context shared by every row block of the layer.
+  // Per-layer context, read by the layer itself and by the layer below.
   struct LayerCtx {
     const Layer* layer = nullptr;
     const CoolingNetwork* net = nullptr;
@@ -121,44 +118,27 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
     lc.side_area = pitch * lc.t;
   }
 
-  // The per-cell conduction loop dominates assembly cost, so it is split
-  // into fixed-size row blocks fanned out across the thread pool. The block
-  // layout is independent of the thread count and blocks are merged back in
-  // canonical (layer, row) order, so the triplet sequence — and therefore
-  // the CSR matrix — is bit-identical for every LCN_THREADS setting.
-  constexpr int kBlockRows = 16;
-  struct RowBlock {
-    int layer = 0;
-    int row0 = 0;
-    int row1 = 0;  // exclusive
+  // One pass, layer by layer: the layer's per-cell conduction rows, then
+  // its advection, ports, power injection and ambient sink. Refills replay
+  // exactly this emission order. Flow slots are guarded on unit-pressure
+  // quantities only, so the recorded pattern is valid for every P_sys > 0.
+  ThermalAssemblyPlan::Emitter em;
+  auto add_pair = [&em](std::size_t i, std::size_t j, double g) {
+    if (g <= 0.0) return;
+    em.add_const(i, i, g);
+    em.add_const(j, j, g);
+    em.add_const(i, j, -g);
+    em.add_const(j, i, -g);
   };
-  std::vector<RowBlock> blocks;
+
   for (int l = 0; l < layer_count; ++l) {
-    for (int r0 = 0; r0 < grid.rows(); r0 += kBlockRows) {
-      blocks.push_back({l, r0, std::min(r0 + kBlockRows, grid.rows())});
-    }
-  }
-  std::vector<ThermalAssemblyPlan::Emitter> block_ems(blocks.size());
-
-  global_pool().parallel_for(blocks.size(), [&](std::size_t bi) {
-    const RowBlock& block = blocks[bi];
-    const int l = block.layer;
     const LayerCtx& lc = ctx[static_cast<std::size_t>(l)];
-    ThermalAssemblyPlan::Emitter& em = block_ems[bi];
-    auto add_pair = [&em](std::size_t i, std::size_t j, double g) {
-      if (g <= 0.0) return;
-      em.add_const(i, i, g);
-      em.add_const(j, j, g);
-      em.add_const(i, j, -g);
-      em.add_const(j, i, -g);
-    };
-
-    for (int r = block.row0; r < block.row1; ++r) {
+    for (int r = 0; r < grid.rows(); ++r) {
       for (int c = 0; c < grid.cols(); ++c) {
         const std::size_t i = node(l, r, c);
         const bool i_liquid = lc.is_channel && lc.net->is_liquid(r, c);
 
-        // Heat capacity (each node written by exactly one block).
+        // Heat capacity.
         plan->capacitance[i] =
             cell_area * lc.t *
             (i_liquid ? problem_.coolant.volumetric_heat
@@ -181,7 +161,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
             const double g_cond = lc.k * lc.side_area / (pitch / 2.0);
             add_pair(i, j, series(g_conv, g_cond));
           }
-          // liquid–liquid: advection only, handled in the serial tail.
+          // liquid–liquid: advection only, emitted with the layer tail.
         }
 
         // Vertical coupling with the layer above.
@@ -202,16 +182,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
         }
       }
     }
-  });
 
-  // Serial per-layer tail: advection, ports, power injection, ambient sink.
-  // All slot emissions are guarded on unit-pressure quantities only, so the
-  // recorded pattern is valid for every P_sys > 0.
-  std::vector<ThermalAssemblyPlan::Emitter> tails(
-      static_cast<std::size_t>(layer_count));
-  for (int l = 0; l < layer_count; ++l) {
-    const LayerCtx& lc = ctx[static_cast<std::size_t>(l)];
-    ThermalAssemblyPlan::Emitter& em = tails[static_cast<std::size_t>(l)];
     using Form = ThermalAssemblyPlan::SlotForm;
 
     // Liquid–liquid advection (Eq. 6, central differencing) and ports.
@@ -280,18 +251,6 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
     }
   }
 
-  // Merge in canonical order: layer-major, row blocks first, then the
-  // layer's tail — the exact sequence the serial assembly used to emit.
-  std::vector<const ThermalAssemblyPlan::Emitter*> parts;
-  parts.reserve(blocks.size() + static_cast<std::size_t>(layer_count));
-  std::size_t bi = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    for (; bi < blocks.size() && blocks[bi].layer == l; ++bi) {
-      parts.push_back(&block_ems[bi]);
-    }
-    parts.push_back(&tails[static_cast<std::size_t>(l)]);
-  }
-
   // Source-node maps (row-major cell order).
   for (int l = 0; l < layer_count; ++l) {
     if (stack.layer(l).kind != LayerKind::kSource) continue;
@@ -303,7 +262,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
     plan->source_nodes.push_back(std::move(nodes));
   }
 
-  plan->finalize(n, parts);
+  plan->finalize(n, std::move(em));
   return plan;
 }
 

@@ -3,7 +3,6 @@
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
 #include "common/trace.hpp"
-#include "sparse/parallel.hpp"
 
 namespace lcn {
 
@@ -27,16 +26,8 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
   // `capacitance[i] / dt * temps[i]` bit-for-bit (same division, rounded
   // once, then the same multiply).
   cap_over_dt_.resize(n);
-  if (sparse::parallel_kernels_enabled(n, sparse::kVectorGrain)) {
-    sparse::parallel_ranges(n, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        cap_over_dt_[i] = system.capacitance[i] / dt;
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      cap_over_dt_[i] = system.capacitance[i] / dt;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    cap_over_dt_[i] = system.capacitance[i] / dt;
   }
 
   // Same assembly plan (shared index arrays) => the (C/Δt + A) pattern is
@@ -96,21 +87,11 @@ void TransientStepper::step(std::vector<double>& temps,
   LCN_TRACE_SPAN_FINE("transient_step");
   LCN_REQUIRE(temps.size() == n_, "temperature vector size mismatch");
 
-  // rhs = b + (C/Δt) ⊙ T_n. Element-wise with the pooled vector-ops idiom:
-  // each element is written by exactly one task with the serial operation
-  // order, so the trajectory is bit-identical for any thread count.
+  // rhs = b + (C/Δt) ⊙ T_n.
   rhs_.resize(n_);
   const sparse::Vector& b = system_->rhs;
-  if (sparse::parallel_kernels_enabled(n_, sparse::kVectorGrain)) {
-    sparse::parallel_ranges(n_, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        rhs_[i] = b[i] + cap_over_dt_[i] * temps[i];
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < n_; ++i) {
-      rhs_[i] = b[i] + cap_over_dt_[i] * temps[i];
-    }
+  for (std::size_t i = 0; i < n_; ++i) {
+    rhs_[i] = b[i] + cap_over_dt_[i] * temps[i];
   }
 
   workspace_.solve(lhs_, rhs_, temps, "transient step", rel_tolerance);

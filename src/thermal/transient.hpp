@@ -6,8 +6,8 @@
 // (C/Δt + A) operator is captured once as a SparsityPlan, rebinding to a new
 // assembly of the *same* plan (a pressure change, a boundary refill, a new
 // Δt) is a pure numeric refill plus an in-place preconditioner
-// refactorization, and the per-step RHS is built with the pooled vector-ops
-// idiom so the step loop is bit-identical for any LCN_THREADS.
+// refactorization. The step loop runs on the calling thread, so it is
+// bit-identical for any LCN_THREADS.
 #pragma once
 
 #include <vector>

@@ -3,8 +3,9 @@
 // assembly plan, flow plan, refactored preconditioner, persistent solver
 // workspace — must be *bit-identical* to one produced by a fresh symbolic
 // analysis. Every comparison below is exact (operator== on double vectors,
-// no tolerances), and the suite is parameterized over {1, 2, 4, 8} pool
-// threads so the guarantee holds under the parallel assembly paths too.
+// no tolerances). Assembly, refill and solve run on the calling thread; the
+// suite is still parameterized over {1, 2, 4, 8} pool threads, so an
+// assembly or refill that came to depend on the pool width would show.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -161,6 +161,26 @@ TEST(ThreadPool, ZeroAndSingleCounts) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(ThreadPool, ParsesPoolWidthStrictly) {
+  // Parsing only: no pool is ever built from these values.
+  EXPECT_EQ(parse_pool_threads(nullptr), 0u);
+  EXPECT_EQ(parse_pool_threads(""), 0u);
+  EXPECT_EQ(parse_pool_threads("0"), 0u);
+  EXPECT_EQ(parse_pool_threads("4"), 4u);
+  EXPECT_EQ(parse_pool_threads("1024"), kMaxPoolThreads);
+  for (const char* bad : {"-1", "four", "4x", " 4", "+4", "2.5", "1025",
+                          "18446744073709551616"}) {
+    try {
+      parse_pool_threads(bad);
+      ADD_FAILURE() << "accepted `" << bad << "`";
+    } catch (const RuntimeError& error) {
+      EXPECT_NE(std::string(error.what()).find("LCN_THREADS"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(Instrument, SnapshotAndResetDrainsEveryCountExactlyOnce) {
   // Race-clean accounting: adds racing snapshot_and_reset() must land either
   // in a drained snapshot or in the final residue — never both, never lost.
