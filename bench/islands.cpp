@@ -33,9 +33,11 @@ int islands() {
   if (options.islands < 2) options.islands = 2;
   // The optimizer's default migration period targets full-length schedules;
   // this experiment runs short stages, so default tighter
-  // (LCN_MIGRATION_PERIOD still wins when set).
+  // (LCN_MIGRATION_PERIOD still wins when set, at least 1).
   options.migration_period =
-      std::max(1, static_cast<int>(env_int("LCN_MIGRATION_PERIOD", 4)));
+      env_string("LCN_MIGRATION_PERIOD", "").empty()
+          ? 4
+          : std::max(1, options.migration_period);
   const int k = options.islands;
   std::printf("islands %d, migration period %d, tempering %s, SA scale %.2f "
               "(LCN_ISLANDS / LCN_MIGRATION_PERIOD / LCN_PT / LCN_SA_SCALE)\n",

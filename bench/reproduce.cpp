@@ -12,6 +12,8 @@
 #include "common/env.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
+#include "opt/islands.hpp"
 
 namespace lcn::reproduce {
 
@@ -107,8 +109,11 @@ int run(const Experiment& e) {
 int main(int argc, char** argv) {
   using namespace lcn::reproduce;
   if (argc != 2) return usage();
+  // Every strictly parsed knob is checked before any work starts.
   try {
     lcn::parse_pool_threads(std::getenv("LCN_THREADS"));
+    lcn::trace::check_env();
+    lcn::island_options_from_env();
   } catch (const lcn::RuntimeError& error) {
     std::fprintf(stderr, "reproduce: %s\n", error.what());
     return 2;

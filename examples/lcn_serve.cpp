@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   }
 
   try {
+    lcn::trace::check_env();
     lcn::service::Server server(options);
     g_server = &server;
     std::signal(SIGTERM, on_signal);

@@ -1,7 +1,11 @@
 #include "common/env.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "common/assert.hpp"
 
 namespace lcn {
 
@@ -11,6 +15,20 @@ long env_int(const char* name, long fallback) {
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
   if (end == raw || *end != '\0') return fallback;
+  return value;
+}
+
+long parse_env_int(const char* name, const char* raw, long fallback, long lo,
+                   long hi) {
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const char* end = raw + std::strlen(raw);
+  long value = 0;
+  const auto [last, ec] = std::from_chars(raw, end, value);
+  if (ec != std::errc{} || last != end || value < lo || value > hi) {
+    throw RuntimeError(std::string(name) + ": `" + raw +
+                       "` is not a decimal integer in " + std::to_string(lo) +
+                       "-" + std::to_string(hi));
+  }
   return value;
 }
 

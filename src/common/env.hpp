@@ -10,6 +10,12 @@ namespace lcn {
 /// Integer env var with default; malformed values fall back to the default.
 long env_int(const char* name, long fallback);
 
+/// Strict parse of integer knob `name`'s value `raw` (e.g. getenv(name)):
+/// null and empty mean `fallback`; anything but a decimal integer in
+/// [lo, hi] throws RuntimeError naming `name`.
+long parse_env_int(const char* name, const char* raw, long fallback, long lo,
+                   long hi);
+
 /// Floating-point env var with default.
 double env_double(const char* name, double fallback);
 

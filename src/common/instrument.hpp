@@ -5,7 +5,8 @@
 // around each workload for its per-layer metrics, and the serving layer
 // exports them as Prometheus counters. Counting costs one relaxed atomic add
 // per billed shard per *kernel invocation* (not per element), so the
-// overhead is far below measurement noise.
+// overhead is far below measurement noise. Counters are never level-gated;
+// `assembly_micros` is billed by each assembly's trace::Span.
 //
 // Multi-tenant sharding (§S22): add() always bills the process-wide
 // telemetry shard, and *additionally* the shard of the task context

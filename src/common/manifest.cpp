@@ -5,6 +5,7 @@
 
 #include "common/env.hpp"
 #include "common/strings.hpp"
+#include "common/trace.hpp"
 
 // Build configuration baked in by src/CMakeLists.txt; default for unity /
 // out-of-tree compiles of this file.
@@ -54,8 +55,7 @@ RunManifest build_manifest() {
   m.hardware_threads =
       static_cast<long>(std::thread::hardware_concurrency());
   m.trace_path = env_string("LCN_TRACE", "");
-  m.trace_level =
-      m.trace_path.empty() ? 0 : env_int("LCN_TRACE_LEVEL", 1);
+  m.trace_level = m.trace_path.empty() ? 0 : trace::level();
   return m;
 }
 

@@ -1,10 +1,8 @@
 #include "common/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
-#include "common/env.hpp"
 #include "common/manifest.hpp"
 #include "common/strings.hpp"
 
@@ -14,18 +12,18 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-#define LCN_METRICS_NAME_ENTRY(name, help) #name,
-#define LCN_METRICS_HELP_ENTRY(name, help) help,
+#define LCN_METRIC_NAME_ENTRY(name, ...) #name,
+#define LCN_METRIC_HELP_ENTRY(name, help, ...) help,
 constexpr const char* kHistNames[] = {
-    LCN_METRIC_HISTOGRAMS(LCN_METRICS_NAME_ENTRY)};
+    LCN_METRIC_HISTOGRAMS(LCN_METRIC_NAME_ENTRY)};
 constexpr const char* kHistHelp[] = {
-    LCN_METRIC_HISTOGRAMS(LCN_METRICS_HELP_ENTRY)};
+    LCN_METRIC_HISTOGRAMS(LCN_METRIC_HELP_ENTRY)};
 constexpr const char* kGaugeNames[] = {
-    LCN_METRIC_GAUGES(LCN_METRICS_NAME_ENTRY)};
+    LCN_METRIC_GAUGES(LCN_METRIC_NAME_ENTRY)};
 constexpr const char* kGaugeHelp[] = {
-    LCN_METRIC_GAUGES(LCN_METRICS_HELP_ENTRY)};
-#undef LCN_METRICS_NAME_ENTRY
-#undef LCN_METRICS_HELP_ENTRY
+    LCN_METRIC_GAUGES(LCN_METRIC_HELP_ENTRY)};
+#undef LCN_METRIC_NAME_ENTRY
+#undef LCN_METRIC_HELP_ENTRY
 
 /// The fixed finite bucket bounds (seconds), 1e-6 * 2^i. Computed once; the
 /// values are exact binary scalings of 1e-6 so every process agrees on them
@@ -48,18 +46,6 @@ std::uint64_t to_nanos(double seconds) {
   return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
 }
 
-std::uint64_t now_nanos() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-int level_from_env() {
-  const long v = env_int("LCN_METRICS", kCoarse);
-  return static_cast<int>(std::clamp(v, 0L, 2L));
-}
-
 /// Round-robin stripe assignment: each thread picks a stripe on first use
 /// and keeps it, spreading pool threads across cache lines without any
 /// per-observation coordination.
@@ -71,12 +57,6 @@ std::size_t this_thread_stripe() {
 }
 
 }  // namespace
-
-std::atomic<int> g_level{level_from_env()};
-
-void set_level(int level) {
-  g_level.store(std::clamp(level, 0, 2), kRelaxed);
-}
 
 double bucket_bound(std::size_t i) { return bucket_bounds()[i]; }
 
@@ -193,19 +173,19 @@ MetricsSnapshot MetricShard::snapshot() const {
 
 instrument::Snapshot MetricShard::counter_snapshot() const {
   instrument::Snapshot s;
-#define LCN_METRICS_LOAD(name, help) \
+#define LCN_METRIC_LOAD(name, help) \
   s.name = counter(instrument::Counter::name).load(kRelaxed);
-  LCN_INSTRUMENT_COUNTERS(LCN_METRICS_LOAD)
-#undef LCN_METRICS_LOAD
+  LCN_INSTRUMENT_COUNTERS(LCN_METRIC_LOAD)
+#undef LCN_METRIC_LOAD
   return s;
 }
 
 instrument::Snapshot MetricShard::drain_counters() {
   instrument::Snapshot s;
-#define LCN_METRICS_DRAIN(name, help) \
+#define LCN_METRIC_DRAIN(name, help) \
   s.name = counter(instrument::Counter::name).exchange(0, kRelaxed);
-  LCN_INSTRUMENT_COUNTERS(LCN_METRICS_DRAIN)
-#undef LCN_METRICS_DRAIN
+  LCN_INSTRUMENT_COUNTERS(LCN_METRIC_DRAIN)
+#undef LCN_METRIC_DRAIN
   return s;
 }
 
@@ -231,16 +211,6 @@ void gauge_set(Gauge g, std::int64_t value) {
 void gauge_add(Gauge g, std::int64_t delta) {
   global_shard().gauges[static_cast<std::size_t>(g)].fetch_add(delta,
                                                                kRelaxed);
-}
-
-ScopedLatency::ScopedLatency(Hist h, int level)
-    : hist_(h), active_(enabled(level)) {
-  if (active_) start_nanos_ = now_nanos();
-}
-
-ScopedLatency::~ScopedLatency() {
-  if (!active_) return;
-  observe(hist_, static_cast<double>(now_nanos() - start_nanos_) * 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,13 +269,13 @@ std::string prometheus_text(const MetricsSnapshot& metrics,
                   static_cast<long long>(metrics.gauges[g]));
   }
 
-#define LCN_METRICS_PROM_COUNTER(name, help)                      \
+#define LCN_METRIC_PROM_COUNTER(name, help)                       \
   out += "# HELP lcn_" #name "_total " help "\n"                   \
          "# TYPE lcn_" #name "_total counter\n"                    \
          "lcn_" #name "_total" + plain + " " +                     \
          std::to_string(metrics.counters.name) + "\n";
-  LCN_INSTRUMENT_COUNTERS(LCN_METRICS_PROM_COUNTER)
-#undef LCN_METRICS_PROM_COUNTER
+  LCN_INSTRUMENT_COUNTERS(LCN_METRIC_PROM_COUNTER)
+#undef LCN_METRIC_PROM_COUNTER
 
   return out;
 }

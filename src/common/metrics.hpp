@@ -18,11 +18,11 @@
 // merged bucket counts (the reported p50/p95/p99 is the upper bound of the
 // bucket holding that rank).
 //
-// Overhead contract (mirrors trace §S19):
-//  - Level-gated sites cost one relaxed atomic load + one branch when below
-//    the configured level — no clock read, no stores. `LCN_METRICS=0`
-//    disables everything, 1 (default) enables coarse sites (per-solve and
-//    above), 2 adds fine sites (per-SpMV, per-cache-lookup).
+// Overhead contract:
+//  - trace::Span (common/trace.hpp) times the histograms and gates each on
+//    its level column below against the one detail level, LCN_TRACE_LEVEL
+//    (coarse always on, fine at 2). Below the level a site costs one
+//    relaxed atomic load + one branch — no clock read, no stores.
 //  - An enabled observation is one bucket search over 38 boundaries plus
 //    two relaxed atomic adds into the calling thread's stripe (histograms
 //    are striped kStripes-ways to keep pool threads off each other's cache
@@ -50,20 +50,22 @@ namespace lcn::metrics {
 // Metric lists (X-macros: enums, name/help tables and JSON are generated
 // from one list, same idiom as LCN_INSTRUMENT_COUNTERS).
 
-/// Latency histograms, all in seconds. `coarse` sites record per solve /
-/// job / step; `fine` sites are hot (thousands per SA iteration).
-#define LCN_METRIC_HISTOGRAMS(X)                                            \
-  X(solve_steady_seconds, "Steady-state thermal solve wall time")           \
-  X(cg_seconds, "Conjugate-gradient solve wall time")                       \
-  X(bicgstab_seconds, "BiCGSTAB solve wall time")                           \
-  X(ilu_factor_seconds, "ILU(0) preconditioner factorization wall time")    \
-  X(spmv_batch_seconds, "Sparse matrix-vector multiply wall time")          \
-  X(cache_lookup_seconds, "SA evaluator cache lookup wall time")            \
-  X(scenario_step_seconds, "Dynamic-scenario engine step wall time")        \
-  X(job_design_seconds, "Scheduler design-job wall time")                   \
-  X(job_evaluate_seconds, "Scheduler evaluate-job wall time")               \
-  X(job_sweep_seconds, "Scheduler sweep-job wall time")                     \
-  X(job_scenario_seconds, "Scheduler scenario-job wall time")
+/// Latency histograms, all in seconds: X(name, help, level). kCoarse
+/// sites record per solve / job / step; kFine sites are hot (thousands per
+/// SA iteration). trace::kHistLevels reads the level column.
+#define LCN_METRIC_HISTOGRAMS(X)                                              \
+  X(solve_steady_seconds, "Steady-state thermal solve wall time", kCoarse)    \
+  X(cg_seconds, "Conjugate-gradient solve wall time", kCoarse)                \
+  X(bicgstab_seconds, "BiCGSTAB solve wall time", kCoarse)                    \
+  X(ilu_factor_seconds, "ILU(0) preconditioner factorization wall time",      \
+    kFine)                                                                    \
+  X(spmv_batch_seconds, "Sparse matrix-vector multiply wall time", kFine)     \
+  X(cache_lookup_seconds, "SA evaluator cache lookup wall time", kFine)       \
+  X(scenario_step_seconds, "Dynamic-scenario engine step wall time", kCoarse) \
+  X(job_design_seconds, "Scheduler design-job wall time", kCoarse)            \
+  X(job_evaluate_seconds, "Scheduler evaluate-job wall time", kCoarse)        \
+  X(job_sweep_seconds, "Scheduler sweep-job wall time", kCoarse)              \
+  X(job_scenario_seconds, "Scheduler scenario-job wall time", kCoarse)
 
 /// Health gauges (instantaneous values, set by the scheduler/server).
 #define LCN_METRIC_GAUGES(X)                                          \
@@ -71,35 +73,17 @@ namespace lcn::metrics {
   X(running_jobs, "Jobs currently executing")                         \
   X(client_connections, "Open client connections on service::Server")
 
-#define LCN_METRICS_ENUM_ENTRY(name, help) name,
+#define LCN_METRIC_ENUM_ENTRY(name, ...) name,
 enum class Hist : std::size_t {
-  LCN_METRIC_HISTOGRAMS(LCN_METRICS_ENUM_ENTRY) kCount
+  LCN_METRIC_HISTOGRAMS(LCN_METRIC_ENUM_ENTRY) kCount
 };
 enum class Gauge : std::size_t {
-  LCN_METRIC_GAUGES(LCN_METRICS_ENUM_ENTRY) kCount
+  LCN_METRIC_GAUGES(LCN_METRIC_ENUM_ENTRY) kCount
 };
-#undef LCN_METRICS_ENUM_ENTRY
+#undef LCN_METRIC_ENUM_ENTRY
 
 constexpr std::size_t kHistCount = static_cast<std::size_t>(Hist::kCount);
 constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCount);
-
-// ---------------------------------------------------------------------------
-// Level gating (mirrors trace::g_level).
-
-constexpr int kCoarse = 1;
-constexpr int kFine = 2;
-
-/// Current metrics level; 0 = disabled. Initialized from LCN_METRICS
-/// (default 1, coarse).
-extern std::atomic<int> g_level;
-
-/// The one check every gated site performs.
-inline bool enabled(int level = kCoarse) {
-  return g_level.load(std::memory_order_relaxed) >= level;
-}
-
-/// Override the level (tests; also honors a fresh LCN_METRICS on restart).
-void set_level(int level);
 
 // ---------------------------------------------------------------------------
 // Histogram buckets.
@@ -219,29 +203,12 @@ void bill(F&& f) {
 }
 
 // ---------------------------------------------------------------------------
-// Entry points. observe() is NOT level-gated — gate at the call site with
-// enabled()/ScopedLatency so the disabled cost stays one load + one branch.
-// Counters are billed with instrument::add().
+// Entry points. observe() is not level-gated: trace::Span gates the timed
+// sites. Counters are billed with instrument::add().
 
 void observe(Hist h, double seconds);
 void gauge_set(Gauge g, std::int64_t value);
 void gauge_add(Gauge g, std::int64_t delta);
-
-/// RAII latency observation: reads the clock only when `level` is enabled
-/// at construction, observes the elapsed time on destruction. The disabled
-/// cost is the enabled() check.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Hist h, int level = kCoarse);
-  ~ScopedLatency();
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  Hist hist_;
-  bool active_;
-  std::uint64_t start_nanos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition (format 0.0.4).

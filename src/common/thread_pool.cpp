@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "common/assert.hpp"
+#include "common/env.hpp"
 #include "common/task_context.hpp"
 
 namespace lcn {
@@ -140,18 +139,8 @@ void ThreadPool::parallel_for(std::size_t count,
 }
 
 std::size_t parse_pool_threads(const char* raw) {
-  if (raw == nullptr || *raw == '\0') return 0;
-  const std::string_view text(raw);
-  std::size_t threads = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), threads);
-  if (ec != std::errc{} || end != text.data() + text.size() ||
-      threads > kMaxPoolThreads) {
-    throw RuntimeError("LCN_THREADS: `" + std::string(text) +
-                       "` is not a pool width in 0-" +
-                       std::to_string(kMaxPoolThreads));
-  }
-  return threads;
+  return static_cast<std::size_t>(parse_env_int(
+      "LCN_THREADS", raw, 0, 0, static_cast<long>(kMaxPoolThreads)));
 }
 
 namespace {

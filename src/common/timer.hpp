@@ -9,14 +9,10 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void reset() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last reset().
+  /// Seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double milliseconds() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -14,11 +15,10 @@
 #include "common/instrument.hpp"
 #include "common/log.hpp"
 #include "common/manifest.hpp"
-#include "common/strings.hpp"
 
 namespace lcn::trace {
 
-std::atomic<int> g_level{0};
+std::atomic<unsigned> g_state{kCoarse};
 
 namespace {
 
@@ -116,8 +116,8 @@ void flush_locked(State& s) {
 }
 
 /// The calling thread's ring for the current trace session, registering one
-/// on first use. Returns nullptr when the session ended between the
-/// enabled() check and here.
+/// on first use. Returns nullptr when the session ended between the site's
+/// check and here.
 Ring* local_ring() {
   thread_local Ring* ring = nullptr;
   thread_local std::uint64_t ring_session = 0;
@@ -147,13 +147,15 @@ void copy_args(char* dst, const char* args) {
   }
 }
 
-void record(char ph, const char* name, const char* args) {
+void record(char ph, const char* name, const char* args,
+            Clock::time_point at) {
+  // Pairs with the release in start(): the sink state below is initialized.
+  std::atomic_thread_fence(std::memory_order_acquire);
   Ring* ring = local_ring();
   if (ring == nullptr) return;
   Event event;
   event.ts_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           state().epoch)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(at - state().epoch)
           .count());
   event.name = name;
   event.tid = ring->tid();
@@ -175,17 +177,31 @@ void flusher_loop() {
   }
 }
 
-/// Env-driven autostart: LCN_TRACE=<path> enables tracing for the whole
-/// process; the sink is drained and closed at exit.
+/// The message of a malformed trace variable, "" when none is.
+std::string g_env_error;
+
+/// Applies the environment at process start: the level always, and the
+/// sink when LCN_TRACE names one, drained and closed at exit. Never throws;
+/// check_env() reports a malformed value.
 struct EnvInit {
   EnvInit() {
-    const std::string path = env_string("LCN_TRACE", "");
-    if (path.empty()) return;
     TraceConfig config;
-    config.path = path;
-    config.level = static_cast<int>(env_int("LCN_TRACE_LEVEL", kCoarse));
-    config.ring_capacity =
-        static_cast<std::size_t>(env_int("LCN_TRACE_RING", 8192));
+    int level = kCoarse;
+    try {
+      level = static_cast<int>(
+          parse_env_int("LCN_TRACE_LEVEL", std::getenv("LCN_TRACE_LEVEL"),
+                        kCoarse, kCoarse, kFine));
+      config.ring_capacity = static_cast<std::size_t>(
+          parse_env_int("LCN_TRACE_RING", std::getenv("LCN_TRACE_RING"),
+                        8192, kMinRingCapacity, kMaxRingCapacity));
+    } catch (const RuntimeError& error) {
+      g_env_error = error.what();
+      LCN_WARN() << g_env_error << "; tracing stays off at level 1";
+      return;
+    }
+    set_level(level);
+    config.path = env_string("LCN_TRACE", "");
+    if (config.path.empty()) return;
     start(config);
     std::atexit([] { stop(); });
   }
@@ -200,7 +216,8 @@ void start(const TraceConfig& config) {
     std::lock_guard<std::mutex> lock(s.mutex);
     if (s.sink != nullptr) return;  // already active
     LCN_REQUIRE(!config.path.empty(), "trace sink path must be non-empty");
-    LCN_REQUIRE(config.ring_capacity >= 2, "trace ring capacity too small");
+    LCN_REQUIRE(config.ring_capacity >= kMinRingCapacity,
+                "trace ring capacity too small");
     std::FILE* sink = std::fopen(config.path.c_str(), "w");
     if (sink == nullptr) {
       throw RuntimeError("trace: cannot open sink '" + config.path + "'");
@@ -220,17 +237,14 @@ void start(const TraceConfig& config) {
       s.flusher = std::thread(flusher_loop);
     }
   }
-  // Release pairs with the acquire in enabled(): a site that observes the
-  // new level also observes the sink state written above.
-  g_level.store(config.level > kFine     ? kFine
-                : config.level < kCoarse ? kCoarse
-                                         : config.level,
-                std::memory_order_release);
+  // Release pairs with the fence in record(): a site that observes the
+  // sink active also observes the sink state written above.
+  g_state.fetch_or(kSinkActive, std::memory_order_release);
 }
 
 void stop() {
   State& s = state();
-  g_level.store(0, std::memory_order_release);
+  g_state.fetch_and(~kSinkActive, std::memory_order_release);
   std::thread flusher;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -256,30 +270,53 @@ void flush() {
   flush_locked(s);
 }
 
-bool active() { return g_level.load(std::memory_order_acquire) > 0; }
-
-void emit_begin(const char* name, int level) {
-  if (!enabled(level)) return;
-  record('B', name, nullptr);
+bool active() {
+  return (g_state.load(std::memory_order_relaxed) & kSinkActive) != 0;
 }
 
-void emit_end(const char* name, int level, const char* args) {
-  if (!enabled(level)) return;
-  record('E', name, args);
+int level() {
+  return static_cast<int>(g_state.load(std::memory_order_relaxed) &
+                          kLevelMask);
+}
+
+void set_level(int level) {
+  LCN_REQUIRE(level == kCoarse || level == kFine,
+              "trace level must be 1 (coarse) or 2 (fine)");
+  unsigned state = g_state.load(std::memory_order_relaxed);
+  while (!g_state.compare_exchange_weak(
+      state, (state & ~kLevelMask) | static_cast<unsigned>(level),
+      std::memory_order_relaxed)) {
+  }
+}
+
+void check_env() {
+  if (!g_env_error.empty()) throw RuntimeError(g_env_error);
 }
 
 void emit_instant(const char* name, int level, const char* args) {
   if (!enabled(level)) return;
-  record('i', name, args);
+  record('i', name, args, Clock::now());
 }
 
-void emit_counter(const char* name, int level, double value) {
-  if (!enabled(level)) return;
-  record('C', name, ("\"value\":" + json_number(value, 9)).c_str());
+void Span::begin() {
+  timed_ = true;
+  start_ = Clock::now();
+  if (traced_) record('B', name_, nullptr, start_);
+}
+
+void Span::end() {
+  const Clock::time_point stop = Clock::now();
+  const auto nanos = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start_)
+          .count());
+  if (traced_) record('E', name_, has_args_ ? args_ : nullptr, stop);
+  // nanos * 1e-9 s rounds back to nanos: the histogram sums exactly E - B.
+  if (observed_) metrics::observe(hist_, static_cast<double>(nanos) * 1e-9);
+  if (micros_ != kNoCounter) instrument::add(micros_, (nanos + 500) / 1000);
 }
 
 void Span::set_args(const std::string& args_json) {
-  if (!active_) return;
+  if (!traced_) return;
   copy_args(args_, args_json.c_str());
   has_args_ = true;
 }

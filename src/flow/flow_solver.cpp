@@ -59,7 +59,7 @@ FlowSolver::FlowSolver(const CoolingNetwork& net,
 }
 
 FlowSolution FlowSolver::solve(double p_sys) const {
-  LCN_TRACE_SPAN_FINE("flow_solve");
+  const trace::Span span("flow_solve", trace::kFine);
   LCN_REQUIRE(p_sys > 0.0, "system pressure drop must be positive");
   const Grid2D& grid = net_.grid();
 

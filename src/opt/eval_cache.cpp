@@ -2,7 +2,7 @@
 
 #include "common/bits.hpp"
 #include "common/instrument.hpp"
-#include "common/metrics.hpp"
+#include "common/trace.hpp"
 
 namespace lcn {
 
@@ -80,8 +80,7 @@ EvalCacheKey make_eval_key(std::uint64_t problem_fp,
 }
 
 std::optional<EvalResult> EvaluatorCache::find(const EvalCacheKey& key) const {
-  const metrics::ScopedLatency latency(metrics::Hist::cache_lookup_seconds,
-                                       metrics::kFine);
+  const trace::Span span(metrics::Hist::cache_lookup_seconds);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(key);

@@ -86,7 +86,7 @@ ThermalProbe SystemEvaluator::probe(double p_sys, ProbeAccuracy accuracy) {
        accuracy == ProbeAccuracy::kSearch)) {
     return seen->second.probe;
   }
-  LCN_TRACE_SPAN_FINE("thermal_probe");
+  const trace::Span span("thermal_probe", trace::kFine);
   const std::vector<double> guess = initial_guess(p_sys);
   const AssembledThermal system = assemble(p_sys);
   ThermalField field = solve_steady(

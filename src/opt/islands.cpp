@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 
@@ -18,10 +19,11 @@ namespace lcn {
 
 IslandOptions island_options_from_env() {
   IslandOptions options;
-  options.islands =
-      static_cast<int>(std::max(1L, env_int("LCN_ISLANDS", 4)));
-  options.migration_period =
-      static_cast<int>(std::max(0L, env_int("LCN_MIGRATION_PERIOD", 8)));
+  options.islands = static_cast<int>(
+      parse_env_int("LCN_ISLANDS", std::getenv("LCN_ISLANDS"), 4, 1, 1024));
+  options.migration_period = static_cast<int>(
+      parse_env_int("LCN_MIGRATION_PERIOD",
+                    std::getenv("LCN_MIGRATION_PERIOD"), 8, 0, 1'000'000));
   options.tempering = env_flag("LCN_PT");
   return options;
 }

@@ -46,8 +46,8 @@ struct IslandOptions {
   double tempering_spread = 4.0;
 };
 
-/// Options from the environment: LCN_ISLANDS (default 4),
-/// LCN_MIGRATION_PERIOD (default 8), LCN_PT (default off).
+/// Options from the environment: LCN_ISLANDS (1-1024, default 4),
+/// LCN_MIGRATION_PERIOD (0-1000000, default 8), LCN_PT (default off).
 IslandOptions island_options_from_env();
 
 /// One communication attempt, in coordinating-thread order. The log is part

@@ -51,7 +51,7 @@ PressureProbe guard_probe(PressureProbe loose, PressureProbe tight,
 PressureSearchResult minimize_pressure_for_target(
     const PressureProbe& raw_f, double target,
     const PressureSearchOptions& options, double entry_hint) {
-  LCN_TRACE_SPAN_FINE("pressure_search");
+  const trace::Span span("pressure_search", trace::kFine);
   LCN_REQUIRE(options.p_min > 0.0 && options.p_min < options.p_max,
               "invalid pressure bounds");
   CountingProbe f(raw_f, options.max_probes);
@@ -195,7 +195,7 @@ PressureSearchResult minimize_pressure_for_target(
 PressureSearchResult minimize_pressure_monotone(
     const PressureProbe& raw_h, double target, double p_lo, double p_hi,
     const PressureSearchOptions& options) {
-  LCN_TRACE_SPAN_FINE("pressure_bisection");
+  const trace::Span span("pressure_bisection", trace::kFine);
   LCN_REQUIRE(p_lo > 0.0 && p_lo <= p_hi, "invalid bisection interval");
   CountingProbe h(raw_h, options.max_probes);
   PressureSearchResult out;
@@ -240,7 +240,7 @@ PressureSearchResult golden_section_min(const PressureProbe& raw_f,
                                         double p_lo, double p_hi,
                                         const PressureSearchOptions& options,
                                         const PressureProbe& tight) {
-  LCN_TRACE_SPAN_FINE("golden_section");
+  const trace::Span span("golden_section", trace::kFine);
   LCN_REQUIRE(p_lo > 0.0 && p_lo < p_hi, "invalid golden-section interval");
   CountingProbe f(raw_f, options.max_probes);
   constexpr double kInvPhi = 0.6180339887498949;

@@ -175,7 +175,7 @@ TreeLayout TreeTopologyOptimizer::mutate(const TreeLayout& layout, int step,
 int TreeTopologyOptimizer::pick_direction(const TreeLayout& probe_layout,
                                           const SimConfig& sim,
                                           std::size_t* evaluations) const {
-  LCN_TRACE_SPAN("sa_direction_sweep");
+  const trace::Span span("sa_direction_sweep");
   double best_score = kInf;
   int best_dir = 0;
   for (int dir = 0; dir < D4Transform::kCount; ++dir) {

@@ -158,7 +158,7 @@ SweepReport run_sweep(const CoolingProblem& problem,
     // discarded wholesale, so short-circuiting remaining scenarios here
     // cannot leak a partial statistic.
     throw_if_cancelled();
-    LCN_TRACE_SPAN_FINE("fault_scenario");
+    const trace::Span span("fault_scenario", trace::kFine);
     Rng rng = scenario_rng(options.seed, k);
     const FaultScenario scenario =
         sample_scenario(options.distribution, problem.grid, source_layers,

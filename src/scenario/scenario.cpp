@@ -7,7 +7,6 @@
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/task_context.hpp"
@@ -222,7 +221,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
                             const CoolingNetwork& network,
                             const ScenarioConfig& config,
                             const ScenarioCallback& on_sample) {
-  LCN_TRACE_SPAN("run_scenario");
+  const trace::Span span("run_scenario");
   problem.validate();
   validate_config(problem, config);
   const double dt = config.dt;
@@ -268,8 +267,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
 
   for (int step = 1; step <= total_steps; ++step) {
     throw_if_cancelled();
-    const metrics::ScopedLatency step_latency(
-        metrics::Hist::scenario_step_seconds);
+    const trace::Span step_span(metrics::Hist::scenario_step_seconds);
     const double t0 = (step - 1) * dt;
 
     // --- Structural faults: rebuild the degraded model when the active

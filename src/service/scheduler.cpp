@@ -509,9 +509,7 @@ void Scheduler::execute(Job& job) {
   local.seconds = timer.seconds();
   // Billed under the session scope, so the job's own shard carries its
   // latency too; snapshotted below so the result reflects it.
-  if (metrics::enabled()) {
-    metrics::observe(job_latency_hist(job.request.kind), local.seconds);
-  }
+  metrics::observe(job_latency_hist(job.request.kind), local.seconds);
   if (slo_seconds_ > 0.0 && local.seconds > slo_seconds_) {
     instrument::add(instrument::Counter::slo_breaches);
   }

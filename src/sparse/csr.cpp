@@ -5,7 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
-#include "common/metrics.hpp"
+#include "common/trace.hpp"
 
 namespace lcn::sparse {
 
@@ -43,8 +43,7 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, SharedIndexes row_ptr,
 }
 
 void CsrMatrix::multiply(const Vector& x, Vector& y) const {
-  const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
-                                       metrics::kFine);
+  const trace::Span span(metrics::Hist::spmv_batch_seconds);
   instrument::add(instrument::Counter::spmv_count);
   instrument::add(instrument::Counter::spmv_nnz, nnz());
   LCN_REQUIRE(x.size() == cols_, "SpMV: x size mismatch");

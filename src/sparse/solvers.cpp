@@ -17,34 +17,23 @@ std::size_t effective_max_iters(const SolveOptions& opts, std::size_t n) {
   return opts.max_iterations != 0 ? opts.max_iterations : 10 * n + 100;
 }
 
-// Bills the solve, its final iteration count and its latency on every exit
-// path of a solver, plus a fine-level trace span carrying the outcome. The
-// span member is declared first so its end event is emitted after
-// ~IterationRecorder has attached the args (members destroy in reverse
-// order).
-struct IterationRecorder {
-  trace::Span span;
-  metrics::ScopedLatency latency;
-  const SolveReport& report;
-  instrument::Counter solves;
-  instrument::Counter iterations;
-  IterationRecorder(const char* name, metrics::Hist hist, const SolveReport& r,
-                    instrument::Counter solves, instrument::Counter iterations)
-      : span(name, trace::kFine),
-        latency(hist),
-        report(r),
-        solves(solves),
-        iterations(iterations) {}
-  ~IterationRecorder() {
-    instrument::add(solves);
-    instrument::add(iterations, report.iterations);
-    if (span.active()) {
-      span.set_args(strfmt("\"iters\":%zu,\"rel\":%.3e,\"converged\":%s",
-                           report.iterations, report.relative_residual,
-                           report.converged ? "true" : "false"));
-    }
+// Runs `solve` inside one fine span that times its latency histogram and
+// carries the outcome, then bills the solve and its final iteration count.
+template <class Solve>
+SolveReport recorded(const char* name, metrics::Hist hist,
+                     instrument::Counter solves,
+                     instrument::Counter iterations, const Solve& solve) {
+  trace::Span span(name, trace::kFine, hist);
+  const SolveReport report = solve();
+  instrument::add(solves);
+  instrument::add(iterations, report.iterations);
+  if (span.active()) {
+    span.set_args(strfmt("\"iters\":%zu,\"rel\":%.3e,\"converged\":%s",
+                         report.iterations, report.relative_residual,
+                         report.converged ? "true" : "false"));
   }
-};
+  return report;
+}
 
 SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
                           const Preconditioner& m, const SolveOptions& opts,
@@ -56,10 +45,6 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
 
   const double bnorm = norm2(b);
   SolveReport report;
-  const IterationRecorder recorder("bicgstab_solve",
-                                   metrics::Hist::bicgstab_seconds, report,
-                                   instrument::Counter::bicgstab_solves,
-                                   instrument::Counter::bicgstab_iterations);
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
     report.converged = true;
@@ -168,10 +153,8 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   return report;
 }
 
-}  // namespace
-
-SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                     const Preconditioner& m, const SolveOptions& opts) {
+SolveReport cg_impl(const CsrMatrix& a, const Vector& b, Vector& x,
+                    const Preconditioner& m, const SolveOptions& opts) {
   const std::size_t n = a.rows();
   LCN_REQUIRE(a.cols() == n, "CG needs a square matrix");
   LCN_REQUIRE(b.size() == n, "CG rhs size mismatch");
@@ -179,9 +162,6 @@ SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 
   const double bnorm = norm2(b);
   SolveReport report;
-  const IterationRecorder recorder("cg_solve", metrics::Hist::cg_seconds,
-                                   report, instrument::Counter::cg_solves,
-                                   instrument::Counter::cg_iterations);
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
     report.converged = true;
@@ -234,17 +214,36 @@ SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
   return report;
 }
 
+SolveReport recorded_bicgstab(const CsrMatrix& a, const Vector& b, Vector& x,
+                              const Preconditioner& m, const SolveOptions& opts,
+                              SolverWorkspace& ws) {
+  return recorded("bicgstab_solve", metrics::Hist::bicgstab_seconds,
+                  instrument::Counter::bicgstab_solves,
+                  instrument::Counter::bicgstab_iterations,
+                  [&] { return bicgstab_impl(a, b, x, m, opts, ws); });
+}
+
+}  // namespace
+
+SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
+                     const Preconditioner& m, const SolveOptions& opts) {
+  return recorded("cg_solve", metrics::Hist::cg_seconds,
+                  instrument::Counter::cg_solves,
+                  instrument::Counter::cg_iterations,
+                  [&] { return cg_impl(a, b, x, m, opts); });
+}
+
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                            const Preconditioner& m, const SolveOptions& opts) {
   SolverWorkspace ws;
-  return bicgstab_impl(a, b, x, m, opts, ws);
+  return recorded_bicgstab(a, b, x, m, opts, ws);
 }
 
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                            const Preconditioner& m, SolverWorkspace& ws,
                            const SolveOptions& opts) {
   instrument::add(instrument::Counter::workspace_reuses);
-  return bicgstab_impl(a, b, x, m, opts, ws);
+  return recorded_bicgstab(a, b, x, m, opts, ws);
 }
 
 void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,

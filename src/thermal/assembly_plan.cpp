@@ -1,16 +1,17 @@
 #include "thermal/assembly_plan.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
-#include "common/timer.hpp"
+#include "common/trace.hpp"
 
 namespace lcn {
 
-void ThermalAssemblyPlan::finalize(std::size_t nodes, Emitter em) {
+void ThermalAssemblyPlan::finalize(std::size_t nodes, Emitter em,
+                                   const char* span_name) {
   n = nodes;
+  span_name_ = span_name;
   slot_value_ = std::move(em.slot_value);
   slot_form_ = std::move(em.slot_form);
   rhs_ops_ = std::move(em.rhs_ops);
@@ -51,7 +52,8 @@ AssembledThermal ThermalAssemblyPlan::assemble(double p_sys) const {
 AssembledThermal ThermalAssemblyPlan::assemble(
     double p_sys, const BoundaryState& boundary) const {
   LCN_REQUIRE(p_sys > 0.0, "P_sys must be positive");
-  const WallTimer timer;
+  const trace::Span span(span_name_, trace::kFine, trace::kNoHist,
+                         instrument::Counter::assembly_micros);
   const double cv = volumetric_heat;
 
   AssembledThermal out;
@@ -89,8 +91,6 @@ AssembledThermal ThermalAssemblyPlan::assemble(
 
   instrument::add(instrument::Counter::assemblies_refill);
   instrument::add(instrument::Counter::assemblies);
-  instrument::add(instrument::Counter::assembly_micros,
-                  std::llround(timer.seconds() * 1e6));
   return out;
 }
 

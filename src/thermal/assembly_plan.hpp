@@ -102,10 +102,12 @@ class ThermalAssemblyPlan {
   std::vector<std::vector<std::size_t>> source_nodes;
 
   /// Take over the traversal's recording and run the symbolic analysis.
-  /// Called once by the owning model after its traversal.
-  void finalize(std::size_t nodes, Emitter em);
+  /// Called once by the owning model after its traversal; `span_name` (a
+  /// literal) names the span of every assemble().
+  void finalize(std::size_t nodes, Emitter em, const char* span_name);
 
-  /// Numeric refill: bit-identical to a fresh traversal at `p_sys`.
+  /// Numeric refill: bit-identical to a fresh traversal at `p_sys`. Each
+  /// call is one span whose clock reads also bill `assembly_micros`.
   AssembledThermal assemble(double p_sys) const;
 
   /// Refill under a per-step boundary: inlet enthalpy terms use
@@ -140,6 +142,7 @@ class ThermalAssemblyPlan {
   std::vector<std::pair<std::size_t, double>> outlet_units_;
   std::vector<double> inflow_units_;
   sparse::SparsityPlan pattern_;
+  const char* span_name_ = nullptr;
 };
 
 }  // namespace lcn

@@ -4,8 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
-#include "common/metrics.hpp"
-#include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "sparse/solvers.hpp"
 #include "sparse/vector_ops.hpp"
@@ -65,9 +63,8 @@ bool true_residual_ok(const sparse::CsrMatrix& matrix,
 }
 
 void SteadyWorkspace::factor(const sparse::CsrMatrix& matrix) {
-  LCN_TRACE_SPAN_FINE("ilu_factor");
-  const metrics::ScopedLatency latency(metrics::Hist::ilu_factor_seconds,
-                                       metrics::kFine);
+  const trace::Span span("ilu_factor", trace::kFine,
+                         metrics::Hist::ilu_factor_seconds);
   if (precon_.has_value()) {
     precon_->refactor(matrix);
   } else {
@@ -107,7 +104,6 @@ void SteadyWorkspace::solve(const sparse::CsrMatrix& matrix,
 ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
                           const std::vector<double>* initial_guess,
                           SteadyWorkspace* workspace) {
-  LCN_TRACE_SPAN_FINE("solve_steady");
   std::vector<double> temps;
   if (initial_guess != nullptr &&
       initial_guess->size() == system.matrix.rows()) {
@@ -115,16 +111,17 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
   } else {
     temps.assign(system.matrix.rows(), system.inlet_temperature);
   }
-  const WallTimer timer;
   SteadyWorkspace local;
   SteadyWorkspace& ws = workspace != nullptr ? *workspace : local;
-  ws.factor(system.matrix);
-  ws.solve(system.matrix, system.rhs, temps, "steady thermal solve",
-           rel_tolerance);
-  instrument::add(instrument::Counter::steady_solves);
-  if (metrics::enabled()) {
-    metrics::observe(metrics::Hist::solve_steady_seconds, timer.seconds());
+  {
+    // The timed interval is the factor plus the solve.
+    const trace::Span span("solve_steady", trace::kFine,
+                           metrics::Hist::solve_steady_seconds);
+    ws.factor(system.matrix);
+    ws.solve(system.matrix, system.rhs, temps, "steady thermal solve",
+             rel_tolerance);
   }
+  instrument::add(instrument::Counter::steady_solves);
   return make_field(system, std::move(temps));
 }
 

@@ -1,7 +1,6 @@
 #include "thermal/model_2rm.hpp"
 
 #include "common/assert.hpp"
-#include "common/trace.hpp"
 #include "flow/flow_solver.hpp"
 
 namespace lcn {
@@ -204,17 +203,6 @@ double Thermal2RM::system_flow(double p_sys) const {
 
 double Thermal2RM::pumping_power(double p_sys) const {
   return p_sys * system_flow(p_sys);
-}
-
-AssembledThermal Thermal2RM::assemble(double p_sys) const {
-  LCN_TRACE_SPAN_FINE("assemble_2rm");
-  return plan().assemble(p_sys);
-}
-
-AssembledThermal Thermal2RM::assemble(double p_sys,
-                                      const BoundaryState& boundary) const {
-  LCN_TRACE_SPAN_FINE("assemble_2rm");
-  return plan().assemble(p_sys, boundary);
 }
 
 const ThermalAssemblyPlan& Thermal2RM::plan() const {
@@ -448,7 +436,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal2RM::build_plan() const {
     plan->source_nodes.push_back(std::move(nodes));
   }
 
-  plan->finalize(n, std::move(em));
+  plan->finalize(n, std::move(em), "assemble_2rm");
   return plan;
 }
 

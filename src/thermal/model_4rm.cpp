@@ -1,7 +1,6 @@
 #include "thermal/model_4rm.hpp"
 
 #include "common/assert.hpp"
-#include "common/trace.hpp"
 
 namespace lcn {
 
@@ -56,17 +55,6 @@ double Thermal4RM::system_flow(double p_sys) const {
 
 double Thermal4RM::pumping_power(double p_sys) const {
   return p_sys * system_flow(p_sys);
-}
-
-AssembledThermal Thermal4RM::assemble(double p_sys) const {
-  LCN_TRACE_SPAN_FINE("assemble_4rm");
-  return plan().assemble(p_sys);
-}
-
-AssembledThermal Thermal4RM::assemble(double p_sys,
-                                      const BoundaryState& boundary) const {
-  LCN_TRACE_SPAN_FINE("assemble_4rm");
-  return plan().assemble(p_sys, boundary);
 }
 
 const ThermalAssemblyPlan& Thermal4RM::plan() const {
@@ -262,7 +250,7 @@ std::shared_ptr<const ThermalAssemblyPlan> Thermal4RM::build_plan() const {
     plan->source_nodes.push_back(std::move(nodes));
   }
 
-  plan->finalize(n, std::move(em));
+  plan->finalize(n, std::move(em), "assemble_4rm");
   return plan;
 }
 

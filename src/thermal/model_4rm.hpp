@@ -34,10 +34,14 @@ class Thermal4RM {
   /// call builds the cached AssemblyPlan (symbolic pattern + P_sys-invariant
   /// values); every call — including the first — produces a system
   /// bit-identical to the historical fresh traversal.
-  AssembledThermal assemble(double p_sys) const;
+  AssembledThermal assemble(double p_sys) const {
+    return plan().assemble(p_sys);
+  }
   /// assemble(p_sys) under a per-step boundary (inlet temperature, power
   /// scale per source layer; ThermalAssemblyPlan::assemble).
-  AssembledThermal assemble(double p_sys, const BoundaryState& boundary) const;
+  AssembledThermal assemble(double p_sys, const BoundaryState& boundary) const {
+    return plan().assemble(p_sys, boundary);
+  }
 
   /// The cached symbolic assembly plan (built on first use; shared across
   /// copies of this model).

@@ -84,7 +84,7 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
 
 void TransientStepper::step(std::vector<double>& temps,
                             double rel_tolerance) {
-  LCN_TRACE_SPAN_FINE("transient_step");
+  const trace::Span span("transient_step", trace::kFine);
   LCN_REQUIRE(temps.size() == n_, "temperature vector size mismatch");
 
   // rhs = b + (C/Δt) ⊙ T_n.

@@ -16,6 +16,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
 
 namespace lcn {
 namespace {
@@ -129,6 +130,42 @@ TEST(Env, ParsesAndFallsBack) {
   EXPECT_FALSE(env_flag("LCN_TEST_MISSING_XYZ"));
   ::setenv("LCN_TEST_DBL", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("LCN_TEST_DBL", 1.0), 2.5);
+}
+
+TEST(Env, ParsesIntegerKnobsStrictly) {
+  using trace::kMaxRingCapacity;
+  using trace::kMinRingCapacity;
+  const auto level = [](const char* raw) {
+    return parse_env_int("LCN_TRACE_LEVEL", raw, trace::kCoarse,
+                         trace::kCoarse, trace::kFine);
+  };
+  const auto ring = [](const char* raw) {
+    return parse_env_int("LCN_TRACE_RING", raw, 8192,
+                         kMinRingCapacity, kMaxRingCapacity);
+  };
+  EXPECT_EQ(level(nullptr), trace::kCoarse);
+  EXPECT_EQ(level(""), trace::kCoarse);
+  EXPECT_EQ(level("2"), trace::kFine);
+  EXPECT_EQ(ring(nullptr), 8192);
+  EXPECT_EQ(ring("2"), 2);
+  EXPECT_EQ(ring("1048576"), 1048576);
+  const auto expect_rejected = [](const auto& parse, const char* name,
+                                  const char* raw) {
+    try {
+      parse(raw);
+      ADD_FAILURE() << name << " accepted `" << raw << "`";
+    } catch (const RuntimeError& error) {
+      EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+          << error.what();
+    }
+  };
+  for (const char* bad : {"0", "3", "-1", "x", "1x", " 1", "+1", "1.0"}) {
+    expect_rejected(level, "LCN_TRACE_LEVEL", bad);
+  }
+  for (const char* bad : {"-1", "x", "1", "1048577", "8192 ", "0x100",
+                          "99999999999999999999"}) {
+    expect_rejected(ring, "LCN_TRACE_RING", bad);
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {

@@ -314,10 +314,21 @@ TEST(IslandOptions, EnvParsingUsesDocumentedDefaults) {
   EXPECT_EQ(options.migration_period, 0);
   EXPECT_TRUE(options.tempering);
 
-  setenv("LCN_ISLANDS", "-3", 1);  // nonsense clamps to a single island
-  options = island_options_from_env();
-  EXPECT_EQ(options.islands, 1);
+  // Nonsense is an error naming the variable, never a silent default.
+  for (const char* bad : {"-3", "0", "four", "1025"}) {
+    setenv("LCN_ISLANDS", bad, 1);
+    try {
+      island_options_from_env();
+      ADD_FAILURE() << "accepted LCN_ISLANDS=" << bad;
+    } catch (const RuntimeError& error) {
+      EXPECT_NE(std::string(error.what()).find("LCN_ISLANDS"),
+                std::string::npos)
+          << error.what();
+    }
+  }
   unsetenv("LCN_ISLANDS");
+  setenv("LCN_MIGRATION_PERIOD", "-1", 1);
+  EXPECT_THROW(island_options_from_env(), RuntimeError);
   unsetenv("LCN_MIGRATION_PERIOD");
   unsetenv("LCN_PT");
 }

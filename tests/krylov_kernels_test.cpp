@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "common/task_context.hpp"
 #include "geom/benchmarks.hpp"
 #include "network/generators.hpp"
@@ -164,7 +165,7 @@ TEST(BicgstabFused, MatchesTextbookLoopOnCaseOneSystems) {
 }
 
 TEST(IluFactorLatency, OneObservationPerFactorCall) {
-  const int saved_level = metrics::g_level.load();
+  const int saved_level = trace::level();
   metrics::MetricShard shard;
   TaskContext ctx;
   ctx.telemetry = &shard;
@@ -174,7 +175,7 @@ TEST(IluFactorLatency, OneObservationPerFactorCall) {
   };
   const std::vector<CaseOneSystem> systems = case_one_systems();
 
-  metrics::set_level(metrics::kFine);
+  trace::set_level(trace::kFine);
   SteadyWorkspace workspace;
   std::uint64_t factor_calls = 0;
   for (const CaseOneSystem& c : systems) {
@@ -188,10 +189,10 @@ TEST(IluFactorLatency, OneObservationPerFactorCall) {
   EXPECT_EQ(observed(), factor_calls);
 
   // A fine site: silent at the coarse level.
-  metrics::set_level(metrics::kCoarse);
+  trace::set_level(trace::kCoarse);
   workspace.factor(systems[1].system.matrix);
   EXPECT_EQ(observed(), factor_calls);
-  metrics::set_level(saved_level);
+  trace::set_level(saved_level);
 }
 
 }  // namespace

@@ -22,16 +22,20 @@
 #include "common/metrics.hpp"
 #include "common/task_context.hpp"
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
+#include "geom/benchmarks.hpp"
+#include "network/generators.hpp"
+#include "opt/evaluator.hpp"
 #include "service/server.hpp"
 
 namespace lcn {
 namespace {
 
-/// Restores the metrics level on scope exit so tests can flip it freely.
+/// Restores the detail level on scope exit so tests can flip it freely.
 class LevelGuard {
  public:
-  LevelGuard() : saved_(metrics::g_level.load()) {}
-  ~LevelGuard() { metrics::set_level(saved_); }
+  LevelGuard() : saved_(trace::level()) {}
+  ~LevelGuard() { trace::set_level(saved_); }
 
  private:
   int saved_;
@@ -185,29 +189,46 @@ INSTANTIATE_TEST_SUITE_P(Threads, MetricsThreads,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{4}, std::size_t{8}));
 
-TEST(MetricsLevel, ScopedLatencyRespectsLevelGating) {
+TEST(MetricsLevel, SpanHistogramRespectsLevelGating) {
   const LevelGuard guard;
   metrics::MetricShard shard;
   TaskContext ctx;
   ctx.telemetry = &shard;
   ScopedTaskContext scope(&ctx);
 
-  metrics::set_level(0);
+  trace::set_level(trace::kCoarse);
   {
-    const metrics::ScopedLatency latency(metrics::Hist::cg_seconds);
-  }
-  EXPECT_EQ(shard.snapshot().hist(metrics::Hist::cg_seconds).count, 0u);
-
-  metrics::set_level(metrics::kCoarse);
-  {
-    // A fine site stays silent at the coarse level...
-    const metrics::ScopedLatency fine(metrics::Hist::spmv_batch_seconds,
-                                      metrics::kFine);
-    // ...while a coarse site records.
-    const metrics::ScopedLatency coarse(metrics::Hist::cg_seconds);
+    // A fine histogram stays silent at the coarse level...
+    const trace::Span fine(metrics::Hist::spmv_batch_seconds);
+    // ...while a coarse one records.
+    const trace::Span coarse(metrics::Hist::cg_seconds);
   }
   EXPECT_EQ(shard.snapshot().hist(metrics::Hist::spmv_batch_seconds).count, 0u);
   EXPECT_EQ(shard.snapshot().hist(metrics::Hist::cg_seconds).count, 1u);
+}
+
+TEST(MetricsLevel, DefaultLevelTimesEverySolve) {
+  const LevelGuard guard;
+  trace::set_level(trace::kCoarse);
+  metrics::MetricShard shard;
+  TaskContext ctx;
+  ctx.telemetry = &shard;
+  const ScopedTaskContext scope(&ctx);
+  const BenchmarkCase bench = make_iccad_case(1);
+  const CoolingNetwork net = make_tree_network(
+      bench.problem.grid, make_uniform_layout(bench.problem.grid, 8, 16));
+  const EvalResult result =
+      evaluate(bench.problem, net, bench.constraints, EvalMode::kFullP1,
+               SimConfig{ThermalModelKind::k2RM, 4}, {});
+  EXPECT_TRUE(result.feasible);
+  const metrics::MetricsSnapshot s = shard.snapshot();
+  EXPECT_GT(s.counters.steady_solves, 0u);
+  EXPECT_EQ(s.hist(metrics::Hist::solve_steady_seconds).count,
+            s.counters.steady_solves);
+  EXPECT_EQ(s.hist(metrics::Hist::bicgstab_seconds).count,
+            s.counters.bicgstab_solves);
+  // Fine histograms stay off at the default level.
+  EXPECT_EQ(s.hist(metrics::Hist::spmv_batch_seconds).count, 0u);
 }
 
 TEST(MetricsSnapshotJson, CarriesHistogramsGaugesCounters) {

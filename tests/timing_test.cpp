@@ -13,6 +13,7 @@
 
 #include "common/instrument.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "geom/benchmarks.hpp"
@@ -214,8 +215,8 @@ TEST(TimingContract, MetricsObserveWithinBoundOfCounterAdd) {
   // regression (a lock, an allocation) lands far beyond it.
   constexpr double kMaxObserveOverAdd = 40.0;
   constexpr int kIters = 2'000'000;
-  const int saved_level = metrics::g_level.load();
-  metrics::set_level(metrics::kFine);
+  const int saved_level = trace::level();
+  trace::set_level(trace::kFine);
   // Values spanning the bucket range, so the bucket search is not one
   // branch-predicted path.
   std::vector<double> values(1024);
@@ -236,7 +237,7 @@ TEST(TimingContract, MetricsObserveWithinBoundOfCounterAdd) {
                   instrument::add(instrument::Counter::pressure_probes);
                 }),
             kMaxObserveOverAdd);
-  metrics::set_level(saved_level);
+  trace::set_level(saved_level);
   EXPECT_EQ(histogram.snapshot().count - count_before,
             static_cast<std::uint64_t>(kIters));
 }

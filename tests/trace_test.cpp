@@ -1,8 +1,9 @@
 // Tests for the structured tracing subsystem (DESIGN.md §S19): the disabled
 // path emits nothing at any pool width, enabled spans round-trip through the
 // JSONL sink with correct begin/end pairing and per-thread monotonic
-// timestamps, ring overflow is accounted — never silently lost — and SA
-// stage spans name their thermal model and cost mode.
+// timestamps, ring overflow is accounted — never silently lost — SA stage
+// spans name their thermal model and cost mode, one scope feeds its span and
+// its histogram from the same two clock reads, and every assembly is traced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,9 +16,13 @@
 
 #include "common/instrument.hpp"
 #include "common/manifest.hpp"
+#include "common/metrics.hpp"
+#include "common/task_context.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "network/generators.hpp"
 #include "opt/sa.hpp"
+#include "scenario/scenario.hpp"
 
 namespace lcn {
 namespace {
@@ -61,6 +66,7 @@ class TraceTest : public ::testing::Test {
  protected:
   void TearDown() override {
     trace::stop();  // idempotent; never leak an active sink between tests
+    trace::set_level(trace::kCoarse);
     set_global_pool_threads(0);
     if (!path_.empty()) {
       std::error_code ec;
@@ -76,12 +82,11 @@ TEST_F(TraceTest, DisabledPathEmitsNothingAtAnyPoolWidth) {
     set_global_pool_threads(threads);
     const instrument::Snapshot before = instrument::snapshot();
     {
-      LCN_TRACE_SPAN("outer");
-      LCN_TRACE_SPAN_FINE("outer_fine");
+      const trace::Span outer("outer");
+      const trace::Span outer_fine("outer_fine", trace::kFine);
       global_pool().parallel_for(64, [](std::size_t) {
-        LCN_TRACE_SPAN("worker");
+        const trace::Span worker("worker");
         trace::emit_instant("tick", trace::kCoarse, "\"x\":1");
-        trace::emit_counter("gauge", trace::kFine, 3.5);
       });
     }
     const instrument::Snapshot d =
@@ -97,20 +102,20 @@ TEST_F(TraceTest, SpanNestingRoundTripsThroughJsonlSink) {
 
   trace::TraceConfig config;
   config.path = path_;
-  config.level = trace::kFine;
+  trace::set_level(trace::kFine);
   config.background_flush = false;  // deterministic: drain only at stop()
   const instrument::Snapshot before = instrument::snapshot();
   trace::start(config);
   ASSERT_TRUE(trace::active());
   {
-    LCN_TRACE_SPAN("outer");
+    const trace::Span outer("outer");
     {
-      LCN_TRACE_SPAN_FINE("inner");
+      const trace::Span inner("inner", trace::kFine);
       trace::emit_instant("marker", trace::kCoarse, "\"k\":42");
     }
     global_pool().parallel_for(16, [](std::size_t) {
-      LCN_TRACE_SPAN("worker");
-      LCN_TRACE_SPAN_FINE("worker_inner");
+      const trace::Span worker("worker");
+      const trace::Span worker_inner("worker_inner", trace::kFine);
     });
     trace::Span with_args("tail");
     with_args.set_args("\"n\":7");
@@ -177,7 +182,7 @@ TEST_F(TraceTest, RingOverflowIsCountedNotLost) {
   path_ = temp_trace_path("overflow");
   trace::TraceConfig config;
   config.path = path_;
-  config.level = trace::kCoarse;
+  trace::set_level(trace::kCoarse);
   config.ring_capacity = 8;
   config.background_flush = false;  // nothing drains while we overflow
   const instrument::Snapshot before = instrument::snapshot();
@@ -282,6 +287,107 @@ TEST_F(TraceTest, SaStageSpansCarryModelAndCost) {
       EXPECT_EQ(extract_u64(rounds[r], "round"), r) << rounds[r];
     }
   }
+}
+
+TEST_F(TraceTest, OneScopeFeedsSpanAndHistogramFromTheSameClockReads) {
+  path_ = temp_trace_path("scope");
+  metrics::MetricShard shard;
+  TaskContext ctx;
+  ctx.telemetry = &shard;
+  const ScopedTaskContext scope(&ctx);
+  struct Site {
+    const char* name;
+    int span_level;
+    metrics::Hist hist;
+    int hist_level;
+  };
+  const Site sites[] = {
+      {"fine_scope", trace::kFine, metrics::Hist::ilu_factor_seconds,
+       trace::kFine},
+      {"coarse_scope", trace::kCoarse, metrics::Hist::cg_seconds,
+       trace::kCoarse}};
+  for (const Site& site : sites) {
+    for (const int level : {trace::kCoarse, trace::kFine}) {
+      for (const bool sink : {false, true}) {
+        const std::string where = std::string(site.name) + " level " +
+                                  std::to_string(level) +
+                                  (sink ? " traced" : " untraced");
+        trace::set_level(level);
+        trace::TraceConfig config;
+        config.path = path_;
+        config.background_flush = false;
+        if (sink) trace::start(config);
+        const metrics::HistogramSnapshot before =
+            shard.snapshot().hist(site.hist);
+        {
+          const trace::Span span(site.name, site.span_level, site.hist);
+        }
+        const metrics::HistogramSnapshot after =
+            shard.snapshot().hist(site.hist);
+        trace::stop();
+
+        const bool observed = level >= site.hist_level;
+        const bool traced = sink && level >= site.span_level;
+        EXPECT_EQ(after.count - before.count, observed ? 1u : 0u) << where;
+        std::vector<std::uint64_t> begins;
+        std::vector<std::uint64_t> ends;
+        for (const std::string& line :
+             sink ? read_lines(path_) : std::vector<std::string>{}) {
+          if (extract_string(line, "name") != site.name) continue;
+          const std::string ph = extract_string(line, "ph");
+          (ph == "B" ? begins : ends).push_back(extract_u64(line, "ts_ns"));
+        }
+        ASSERT_EQ(begins.size(), traced ? 1u : 0u) << where;
+        ASSERT_EQ(ends.size(), begins.size()) << where;
+        if (traced && observed) {
+          EXPECT_EQ(ends[0] - begins[0], after.sum_nanos - before.sum_nanos)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(TraceTest, EveryScenarioAssemblyIsTraced) {
+  path_ = temp_trace_path("assembly");
+  CoolingProblem problem;
+  problem.grid = Grid2D(21, 21, 100e-6);
+  problem.stack = make_interlayer_stack(2, 200e-6);
+  problem.source_power.push_back(synthesize_power_map(problem.grid, 4.0, 21));
+  problem.source_power.push_back(synthesize_power_map(problem.grid, 3.0, 22));
+  const CoolingNetwork net = make_straight_channels(problem.grid);
+  // A thermostat pump moves the pressure, so the engine re-assembles its
+  // system through the plan on many steps.
+  ScenarioConfig config;
+  config.sim = SimConfig{ThermalModelKind::k2RM, 3};
+  config.dt = 2e-3;
+  config.steps = 20;
+  config.pump.kind = PumpPolicyKind::kThermostat;
+  config.pump.p_fixed = 3000.0;
+  config.pump.t_target = 305.0;
+  config.pump.gain = 400.0;
+
+  trace::set_level(trace::kFine);
+  trace::TraceConfig trace_config;
+  trace_config.path = path_;
+  trace_config.ring_capacity = std::size_t{1} << 16;
+  trace::start(trace_config);
+  const instrument::Snapshot before = instrument::snapshot();
+  run_scenario(problem, net, config);
+  const instrument::Snapshot d =
+      instrument::delta(before, instrument::snapshot());
+  trace::stop();
+
+  std::uint64_t assembly_ends = 0;
+  for (const std::string& line : read_lines(path_)) {
+    if (extract_string(line, "ph") == "E" &&
+        extract_string(line, "name").rfind("assemble_", 0) == 0) {
+      ++assembly_ends;
+    }
+  }
+  EXPECT_EQ(d.trace_events_dropped, 0u);
+  EXPECT_GT(d.assemblies, 1u);
+  EXPECT_EQ(assembly_ends, d.assemblies);
 }
 
 TEST(Manifest, ProvidesBuildProvenance) {
