@@ -37,7 +37,6 @@ namespace lcn::instrument {
   X(assemblies, "4RM/2RM thermal system assemblies")                          \
   X(assemblies_symbolic, "One-time symbolic assembly plan builds")            \
   X(assemblies_refill, "Numeric value refills of an assembly plan")           \
-  X(workspace_reuses, "Krylov solves on a caller-owned workspace")            \
   X(flow_plan_hits, "Flow patterns served from the plan cache")               \
   X(flow_plan_misses, "Flow patterns analyzed fresh")                         \
   X(steady_solves, "Steady-state thermal solves")                             \

@@ -3,11 +3,11 @@
 // The paper evaluates 64 SA neighbors simultaneously on an 80-core server;
 // we reproduce the structure with a pool sized to the host (or to the
 // LCN_THREADS env knob) so schedules stay identical regardless of core count.
-// The pool serves the coarse loops only — SA/island neighbours, exhaustive
-// grid points and reliability-sweep scenarios. The numerical kernels under
-// them (SpMV, vector ops, assembly, transient steps) always run on the
-// calling thread, and a parallel_for issued from inside a pool task runs
-// inline, so there is one level of parallelism.
+// The pool serves the coarse loops only — SA/island neighbours and
+// reliability-sweep scenarios. The numerical kernels under them (SpMV,
+// vector ops, assembly, transient steps) always run on the calling thread,
+// and a parallel_for issued from inside a pool task runs inline, so there is
+// one level of parallelism.
 //
 // Share-aware submission (DESIGN.md §S22): parallel_for captures the
 // submitting thread's TaskContext (common/task_context.hpp) and re-installs
@@ -66,9 +66,9 @@ inline constexpr std::size_t kMaxPoolThreads = 1024;
 /// thread.
 std::size_t parse_pool_threads(const char* raw);
 
-/// Pool shared by the coarse loops (SA neighbours, exhaustive search, sweep
-/// scenarios); sized by LCN_THREADS (default: all cores; 1 runs every loop
-/// inline on the calling thread).
+/// Pool shared by the coarse loops (SA/island neighbours, sweep scenarios);
+/// sized by LCN_THREADS (default: all cores; 1 runs every loop inline on
+/// the calling thread).
 ThreadPool& global_pool();
 
 /// Rebuild the global pool with `threads` workers (0 = LCN_THREADS/default).

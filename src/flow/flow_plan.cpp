@@ -60,9 +60,8 @@ std::shared_ptr<const FlowPlan> FlowPlan::analyze(const CoolingNetwork& net) {
     }
   }
 
-  // Capture the emission pattern in the exact order of the fresh traversal:
-  // cell-to-cell conductances (east and south neighbors cover each pair
-  // once), then ports.
+  // Capture the emission pattern: cell-to-cell conductances (east and south
+  // neighbors cover each pair once), then ports.
   std::vector<sparse::Triplet> emissions;
   for (std::size_t i = 0; i < n; ++i) {
     const CellCoord cc = grid.coord(plan->liquid_cells[i]);

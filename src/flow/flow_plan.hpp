@@ -16,12 +16,10 @@
 // the calling thread's TaskContext, so one tenant's cache churn (or clear)
 // never touches another's.
 //
-// Bit-identity contract: a solve through the plan produces the same CSR
-// matrix, right-hand side, and therefore the same solution as the historical
-// fresh TripletList traversal (see SparsityPlan's contract). The one corner
-// where the pattern could differ — a conductance underflowing to exactly 0.0,
-// which the fresh path's TripletList::add would have dropped — is detected at
-// refill time and routed back to the fresh assembly path.
+// Bit-identity contract: every solve refills the plan, and a refill equals
+// the plan's first assembly (see SparsityPlan's contract). The pattern never
+// depends on values: a conductance that underflows to exactly 0.0 stays in
+// the matrix as an explicit zero.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +35,7 @@
 namespace lcn {
 
 struct FlowPlan {
-  /// One matrix-entry emission of the fresh traversal, in emission order.
+  /// One matrix-entry emission of the traversal, in emission order.
   /// Pair slots carry the two grid cell ids whose harmonic-mean conductance
   /// feeds the entry; port slots carry the port's cell id twice.
   enum class SlotKind : std::uint8_t {
@@ -63,8 +61,8 @@ struct FlowPlan {
   std::vector<InletOp> inlet_ops;
   sparse::SparsityPlan pattern;
 
-  /// Symbolic analysis of one network. Throws lcn::RuntimeError exactly where
-  /// a fresh solve would: no liquid cells, or a liquid component with no port
+  /// Symbolic analysis of one network. Throws lcn::RuntimeError when the
+  /// network has no liquid cells or a liquid component with no port
   /// (singular pressure system).
   static std::shared_ptr<const FlowPlan> analyze(const CoolingNetwork& net);
 };
@@ -78,8 +76,7 @@ class FlowPlanCache {
  public:
   /// Look up (or build and cache) the plan for `net`. Bumps the
   /// flow_plan_hits / flow_plan_misses instrument counters. Failed analyses
-  /// (degenerate networks) are not cached and rethrow on every call,
-  /// matching the fresh path's behavior.
+  /// (degenerate networks) are not cached and rethrow on every call.
   std::shared_ptr<const FlowPlan> plan_for(const CoolingNetwork& net);
 
   /// Drop every cached plan. In-flight solves holding a plan shared_ptr are

@@ -92,69 +92,30 @@ FlowSolution FlowSolver::solve(double p_sys) const {
     return g_bulk * (2.0 * si * sj / (si + sj));
   };
 
-  // Numeric refill on the cached pattern. Conductance arithmetic matches the
-  // fresh traversal exactly: one pair_conductance() per slot with a sign flip
-  // for off-diagonals (exact), so the compressed values are bit-identical. A
-  // slot refilled to exactly 0.0 (conductance underflow) would have been
-  // dropped by the fresh path's TripletList::add — that corner invalidates
-  // the cached pattern, so assemble from scratch instead.
+  // Numeric refill on the cached pattern: one pair_conductance() per slot
+  // with a sign flip for off-diagonals. A conductance that underflows to
+  // exactly 0.0 stays an explicit zero, so the pattern never changes; the
+  // IC(0) pivot check then rejects the singular system.
   std::vector<double> slot_value(plan->slots.size());
-  bool pattern_exact = true;
-  for (std::size_t s = 0; s < plan->slots.size() && pattern_exact; ++s) {
+  for (std::size_t s = 0; s < plan->slots.size(); ++s) {
     const FlowPlan::Slot& slot = plan->slots[s];
-    double v = 0.0;
     switch (slot.kind) {
       case FlowPlan::SlotKind::kPair:
-        v = pair_conductance(slot.cell_a, slot.cell_b);
+        slot_value[s] = pair_conductance(slot.cell_a, slot.cell_b);
         break;
       case FlowPlan::SlotKind::kPairNeg:
-        v = -pair_conductance(slot.cell_a, slot.cell_b);
+        slot_value[s] = -pair_conductance(slot.cell_a, slot.cell_b);
         break;
       case FlowPlan::SlotKind::kPort:
-        v = g_edge * cell_scale(slot.cell_a);
+        slot_value[s] = g_edge * cell_scale(slot.cell_a);
         break;
     }
-    if (v == 0.0) pattern_exact = false;
-    slot_value[s] = v;
   }
-
-  sparse::CsrMatrix matrix;
+  const sparse::CsrMatrix matrix = plan->pattern.refill_matrix(
+      [&](std::size_t s) { return slot_value[s]; });
   sparse::Vector rhs(n, 0.0);
-  if (pattern_exact) {
-    matrix = plan->pattern.refill_matrix(
-        [&](std::size_t s) { return slot_value[s]; });
-    for (const FlowPlan::InletOp& op : plan->inlet_ops) {
-      const double g = g_edge * cell_scale(op.cell);
-      rhs[op.node] += g * p_sys;
-    }
-  } else {
-    // Fresh traversal fallback — same emission order as the plan, with
-    // TripletList::add dropping the underflowed entries.
-    sparse::TripletList triplets(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const CellCoord cc = grid.coord(sol.liquid_cells[i]);
-      const int neighbors[2][2] = {{cc.row, cc.col + 1}, {cc.row + 1, cc.col}};
-      for (const auto& nb : neighbors) {
-        if (!grid.in_bounds(nb[0], nb[1])) continue;
-        const std::int32_t jdx = sol.liquid_index[grid.index(nb[0], nb[1])];
-        if (jdx < 0) continue;
-        const auto j = static_cast<std::size_t>(jdx);
-        const double g =
-            pair_conductance(sol.liquid_cells[i], sol.liquid_cells[j]);
-        triplets.add(i, i, g);
-        triplets.add(j, j, g);
-        triplets.add(i, j, -g);
-        triplets.add(j, i, -g);
-      }
-    }
-    for (const Port& port : net_.ports()) {
-      const std::int32_t idx = sol.liquid_index[grid.index(port.row, port.col)];
-      const auto i = static_cast<std::size_t>(idx);
-      const double g = g_edge * cell_scale(grid.index(port.row, port.col));
-      triplets.add(i, i, g);
-      if (port.kind == PortKind::kInlet) rhs[i] += g * p_sys;
-    }
-    matrix = triplets.to_csr();
+  for (const FlowPlan::InletOp& op : plan->inlet_ops) {
+    rhs[op.node] += g_edge * cell_scale(op.cell) * p_sys;
   }
   sol.pressure.assign(n, 0.0);
   sparse::SolveOptions opts;

@@ -30,23 +30,6 @@ CoolingNetwork make_straight_channels(const Grid2D& grid) {
   return net;
 }
 
-CoolingNetwork make_alternating_straight(const Grid2D& grid) {
-  CoolingNetwork net(grid);
-  bool eastward = true;
-  for (int r = 0; r < grid.rows(); r += 2) {
-    carve_h(net, r, 0, grid.cols() - 1);
-    if (eastward) {
-      net.add_port({r, 0, Side::kWest, PortKind::kInlet});
-      net.add_port({r, grid.cols() - 1, Side::kEast, PortKind::kOutlet});
-    } else {
-      net.add_port({r, grid.cols() - 1, Side::kEast, PortKind::kInlet});
-      net.add_port({r, 0, Side::kWest, PortKind::kOutlet});
-    }
-    eastward = !eastward;
-  }
-  return net;
-}
-
 CoolingNetwork make_serpentine(const Grid2D& grid) {
   LCN_REQUIRE(grid.rows() >= 3, "serpentine needs at least three rows");
   CoolingNetwork net(grid);

@@ -23,11 +23,6 @@ namespace lcn {
 /// (the paper's baseline style, Fig. 1(b)).
 CoolingNetwork make_straight_channels(const Grid2D& grid);
 
-/// Straight channels with alternating flow direction per row. Violates the
-/// one-continuous-manifold-per-side packaging rule by construction; kept for
-/// DRC tests and the §3 discussion.
-CoolingNetwork make_alternating_straight(const Grid2D& grid);
-
 /// One serpentine channel snaking through all even rows (manual style used
 /// in the Fig. 9 sample set).
 CoolingNetwork make_serpentine(const Grid2D& grid);

@@ -42,10 +42,6 @@ IslandOutcome IslandOptimizer::run(const std::vector<SaStage>& stages) {
   return detail::run_islands(base_, stages, options_);
 }
 
-void IslandOptimizer::enable_robust_mode(const RobustOptions& options) {
-  base_.enable_robust_mode(options);
-}
-
 namespace detail {
 
 namespace {
@@ -555,7 +551,8 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
     out.island_scores[static_cast<std::size_t>(i)] = eval.score;
     if (island_span && island_span->active()) {
       island_span->set_args(
-          strfmt("\"island\":%d,\"score\":%.9g,\"design\":%llu", i, eval.score,
+          strfmt("\"island\":%d,\"score\":%s,\"design\":%llu", i,
+                 json_number(eval.score, 9).c_str(),
                  static_cast<unsigned long long>(design)));
     }
     if (i == 0 || eval.score < best_eval.score) {

@@ -85,17 +85,13 @@ struct IslandOutcome {
 };
 
 /// K communicating chains around one TreeTopologyOptimizer evaluation
-/// context (shared evaluator cache, shared robust sample, one seed).
+/// context (shared evaluator cache, one seed).
 class IslandOptimizer {
  public:
   IslandOptimizer(const BenchmarkCase& bench, DesignObjective objective,
                   const IslandOptions& options, std::uint64_t seed = 1);
 
   IslandOutcome run(const std::vector<SaStage>& stages);
-
-  /// Robust mode (§S17) applies to every chain: they share one fault
-  /// sample, so scores stay comparable across islands. Call before run().
-  void enable_robust_mode(const RobustOptions& options);
 
   const IslandOptions& options() const { return options_; }
   /// The population-shared evaluator cache.

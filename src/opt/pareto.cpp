@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "common/assert.hpp"
 #include "common/strings.hpp"
@@ -14,35 +11,15 @@ namespace lcn {
 
 namespace {
 
-bool finite_objectives(const ParetoPoint& p, bool with_t_peak) {
+bool finite_objectives(const ParetoPoint& p) {
   return std::isfinite(p.w_pump) && std::isfinite(p.delta_t) &&
-         std::isfinite(p.t_max) && (!with_t_peak || std::isfinite(p.t_peak));
-}
-
-bool objectives_equal(const ParetoPoint& a, const ParetoPoint& b,
-                      bool with_t_peak) {
-  return a.w_pump == b.w_pump && a.delta_t == b.delta_t &&
-         a.t_max == b.t_max && (!with_t_peak || a.t_peak == b.t_peak);
-}
-
-/// Weak dominance: a is no worse than b in every objective.
-bool dominates_or_equal(const ParetoPoint& a, const ParetoPoint& b,
-                        bool with_t_peak) {
-  return a.w_pump <= b.w_pump && a.delta_t <= b.delta_t &&
-         a.t_max <= b.t_max && (!with_t_peak || a.t_peak <= b.t_peak);
-}
-
-bool strict_dominates(const ParetoPoint& a, const ParetoPoint& b,
-                      bool with_t_peak) {
-  return dominates_or_equal(a, b, with_t_peak) &&
-         !objectives_equal(a, b, with_t_peak);
+         std::isfinite(p.t_max);
 }
 
 bool canonical_less(const ParetoPoint& a, const ParetoPoint& b) {
   if (a.w_pump != b.w_pump) return a.w_pump < b.w_pump;
   if (a.delta_t != b.delta_t) return a.delta_t < b.delta_t;
   if (a.t_max != b.t_max) return a.t_max < b.t_max;
-  if (a.t_peak != b.t_peak) return a.t_peak < b.t_peak;
   return a.design < b.design;
 }
 
@@ -60,59 +37,19 @@ std::string escape_tag(const std::string& tag) {
   return out;
 }
 
-/// Find `"key":` in a to_jsonl()-formatted line and return the raw value
-/// text (number, or quoted string for "tag").
-std::string field_text(const std::string& line, const char* key) {
-  const std::string needle = strfmt("\"%s\":", key);
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    throw RuntimeError(strfmt("pareto line missing %s", key));
-  }
-  std::size_t i = at + needle.size();
-  while (i < line.size() && line[i] == ' ') ++i;
-  if (i < line.size() && line[i] == '"') {
-    // Quoted string: scan to the closing unescaped quote.
-    std::string out;
-    for (++i; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        out.push_back(line[i + 1] == 'n' ? '\n' : line[i + 1]);
-        ++i;
-        continue;
-      }
-      if (line[i] == '"') return out;
-      out.push_back(line[i]);
-    }
-    throw RuntimeError("pareto line: unterminated string value");
-  }
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(i, end - i);
-}
-
-double field_double(const std::string& line, const char* key) {
-  const std::string text = field_text(line, key);
-  char* parse_end = nullptr;
-  const double value = std::strtod(text.c_str(), &parse_end);
-  if (parse_end == text.c_str()) {
-    throw RuntimeError(strfmt("pareto line: bad number for %s", key));
-  }
-  return value;
-}
-
 }  // namespace
 
 bool pareto_dominates(const ParetoPoint& a, const ParetoPoint& b) {
-  return strict_dominates(a, b, /*with_t_peak=*/false);
-}
-
-bool pareto_dominates_transient(const ParetoPoint& a, const ParetoPoint& b) {
-  return strict_dominates(a, b, /*with_t_peak=*/true);
+  const bool no_worse = a.w_pump <= b.w_pump && a.delta_t <= b.delta_t &&
+                        a.t_max <= b.t_max;
+  const bool equal = a.w_pump == b.w_pump && a.delta_t == b.delta_t &&
+                     a.t_max == b.t_max;
+  return no_worse && !equal;
 }
 
 ArchiveInsert ParetoArchive::insert(const ParetoPoint& point) {
-  const bool with_t_peak = transient_objective_;
   ++attempts_;
-  if (!finite_objectives(point, with_t_peak)) {
+  if (!finite_objectives(point)) {
     return ArchiveInsert::kNotFinite;
   }
   for (const ParetoPoint& existing : points_) {
@@ -125,7 +62,7 @@ ArchiveInsert ParetoArchive::insert(const ParetoPoint& point) {
   // an exact objective tie from a different design, which coexists (both
   // survive regardless of arrival order, keeping the archive order-free).
   for (const ParetoPoint& existing : points_) {
-    if (strict_dominates(existing, point, with_t_peak)) {
+    if (pareto_dominates(existing, point)) {
       ++dominated_;
       return ArchiveInsert::kDominated;
     }
@@ -135,7 +72,7 @@ ArchiveInsert ParetoArchive::insert(const ParetoPoint& point) {
   points_.erase(
       std::remove_if(points_.begin(), points_.end(),
                      [&](const ParetoPoint& existing) {
-                       return strict_dominates(point, existing, with_t_peak);
+                       return pareto_dominates(point, existing);
                      }),
       points_.end());
   pruned_ += before - points_.size();
@@ -215,9 +152,9 @@ std::string ParetoArchive::to_jsonl() const {
   for (const ParetoPoint& p : sorted()) {
     out += strfmt(
         "{\"design\":%llu,\"w_pump\":%.17g,\"delta_t\":%.17g,"
-        "\"t_max\":%.17g,\"t_peak\":%.17g,\"p_sys\":%.17g,\"tag\":\"%s\"}\n",
+        "\"t_max\":%.17g,\"p_sys\":%.17g,\"tag\":\"%s\"}\n",
         static_cast<unsigned long long>(p.design), p.w_pump, p.delta_t,
-        p.t_max, p.t_peak, p.p_sys, escape_tag(p.tag).c_str());
+        p.t_max, p.p_sys, escape_tag(p.tag).c_str());
   }
   return out;
 }
@@ -228,36 +165,6 @@ void ParetoArchive::save_jsonl(const std::string& path) const {
   out << to_jsonl();
   out.flush();
   if (!out) throw RuntimeError("failed writing pareto snapshot: " + path);
-}
-
-ParetoPoint ParetoArchive::parse_point(const std::string& line) {
-  ParetoPoint p;
-  p.design = static_cast<std::uint64_t>(
-      std::strtoull(field_text(line, "design").c_str(), nullptr, 10));
-  p.w_pump = field_double(line, "w_pump");
-  p.delta_t = field_double(line, "delta_t");
-  p.t_max = field_double(line, "t_max");
-  // Snapshots written before the transient objective existed lack t_peak;
-  // they load as "not evaluated" (0.0).
-  if (line.find("\"t_peak\":") != std::string::npos) {
-    p.t_peak = field_double(line, "t_peak");
-  }
-  p.p_sys = field_double(line, "p_sys");
-  p.tag = field_text(line, "tag");
-  return p;
-}
-
-ParetoArchive ParetoArchive::load_jsonl(const std::string& path,
-                                        bool transient_objective) {
-  std::ifstream in(path);
-  if (!in) throw RuntimeError("cannot read pareto snapshot: " + path);
-  ParetoArchive archive(transient_objective);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    archive.insert(parse_point(line));
-  }
-  return archive;
 }
 
 }  // namespace lcn

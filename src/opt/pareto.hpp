@@ -1,5 +1,4 @@
-// Persistent Pareto archive over (W_pump, ΔT, T_max) — optionally extended
-// by the transient-aware t_peak objective, §S23 — (DESIGN.md §S21).
+// Pareto archive over (W_pump, ΔT, T_max) (DESIGN.md §S21).
 //
 // The paper's two problems are the two ends of one trade-off: Problem 1
 // minimizes pumping power under thermal limits, Problem 2 minimizes the
@@ -10,7 +9,7 @@
 // stages, rounds, islands and runs. Points are deduplicated by the design's
 // content hash (evaluations are deterministic, so one design maps to one
 // point), dominated points are pruned on insertion, and the archive
-// serializes to JSON-lines so long campaigns can snapshot and resume it.
+// serializes to JSON-lines (`reproduce pareto` writes the frontiers).
 //
 // The archive is insertion-order independent: the surviving *set* of points
 // is a pure function of the inserted multiset, which is what makes it safe
@@ -25,16 +24,12 @@
 namespace lcn {
 
 /// One design on the trade-off surface. The objectives are all minimized;
-/// the rest is provenance for resuming a campaign.
+/// the rest is provenance.
 struct ParetoPoint {
   std::uint64_t design = 0;  ///< CoolingNetwork::content_hash()
   double w_pump = 0.0;       ///< pumping power at the operating point (W)
   double delta_t = 0.0;      ///< thermal gradient at the operating point (K)
   double t_max = 0.0;        ///< peak temperature at the operating point (K)
-  /// Transient-aware objective (§S23): peak T_max over a reference dynamic
-  /// scenario (scenario_peak_t_max). Participates in dominance only when the
-  /// archive enables it; 0.0 means "not evaluated".
-  double t_peak = 0.0;
   double p_sys = 0.0;        ///< operating pressure realizing the point (Pa)
   std::string tag;           ///< provenance, e.g. "island2/s2-coarse"
 
@@ -44,9 +39,6 @@ struct ParetoPoint {
 /// Strict Pareto dominance under minimization of (w_pump, delta_t, t_max):
 /// a is no worse in every objective and better in at least one.
 bool pareto_dominates(const ParetoPoint& a, const ParetoPoint& b);
-
-/// Dominance with `t_peak` as a fourth minimized objective.
-bool pareto_dominates_transient(const ParetoPoint& a, const ParetoPoint& b);
 
 /// Outcome of one insertion attempt.
 enum class ArchiveInsert : std::uint8_t {
@@ -58,16 +50,6 @@ enum class ArchiveInsert : std::uint8_t {
 
 class ParetoArchive {
  public:
-  /// `transient_objective` adds t_peak — the peak T_max over a reference
-  /// dynamic scenario — as a fourth minimized objective: dominance, pruning
-  /// and the non-finite check then cover it too. Every point inserted into
-  /// such an archive must carry an evaluated t_peak.
-  ParetoArchive() = default;
-  explicit ParetoArchive(bool transient_objective)
-      : transient_objective_(transient_objective) {}
-
-  bool transient_objective() const { return transient_objective_; }
-
   /// Insert one point, pruning any archived point the newcomer dominates.
   /// A point whose objectives exactly equal an archived point's (but with a
   /// different design hash) is kept — distinct designs may tie.
@@ -95,32 +77,18 @@ class ParetoArchive {
   /// volume of the union of boxes [point, reference]. Points not strictly
   /// better than the reference in every objective contribute nothing.
   /// Exact sweep over t_max slabs; O(n² log n), fine for archive sizes.
-  /// Always over the three steady objectives — t_peak is ignored here even
-  /// in transient-objective mode.
   double hypervolume(double ref_w_pump, double ref_delta_t,
                      double ref_t_max) const;
 
   /// One JSON object per point, canonical order — the snapshot format.
-  /// Doubles are printed with %.17g so load() round-trips them exactly.
+  /// Doubles are printed with %.17g, so strtod reads them back exactly.
   std::string to_jsonl() const;
 
   /// Write to_jsonl() to `path` (overwrites). Throws RuntimeError on I/O
   /// failure.
   void save_jsonl(const std::string& path) const;
 
-  /// Load a snapshot and insert every point (so a corrupted-by-hand file
-  /// with dominated rows still loads to a valid frontier). Throws
-  /// RuntimeError on I/O or parse failure. `transient_objective` selects the
-  /// dominance mode of the loaded archive; snapshots written before t_peak
-  /// existed load with t_peak = 0.
-  static ParetoArchive load_jsonl(const std::string& path,
-                                  bool transient_objective = false);
-
-  /// Parse one to_jsonl() line (exposed for the loader and tests).
-  static ParetoPoint parse_point(const std::string& line);
-
  private:
-  bool transient_objective_ = false;
   std::vector<ParetoPoint> points_;
   std::uint64_t attempts_ = 0;
   std::uint64_t inserted_ = 0;

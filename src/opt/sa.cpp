@@ -88,7 +88,8 @@ TreeTopologyOptimizer::TreeTopologyOptimizer(const BenchmarkCase& bench,
                                              DesignObjective objective,
                                              std::uint64_t seed)
     : bench_(bench), constraints_(bench.constraints), seed_(seed),
-      full_mode_(full_mode(objective)) {
+      full_mode_(full_mode(objective)),
+      problem_fp_(problem_fingerprint(bench.problem)) {
   rules_.forbidden = bench_.forbidden;
   if (objective == DesignObjective::kThermalGradient &&
       constraints_.w_pump_max <= 0.0) {
@@ -98,18 +99,6 @@ TreeTopologyOptimizer::TreeTopologyOptimizer(const BenchmarkCase& bench,
   // for the metrics reported.
   search_options_.rel_precision = 1e-2;
   search_options_.max_probes = 60;
-  problem_fp_ = problem_fingerprint(bench_.problem);
-}
-
-void TreeTopologyOptimizer::enable_robust_mode(const RobustOptions& options) {
-  robust_ = RobustSample(
-      bench_.problem.grid,
-      static_cast<int>(bench_.problem.source_power.size()), options);
-  // Robust scores live in a different universe than nominal ones; re-key the
-  // cache so entries from either mode never alias the other.
-  problem_fp_ =
-      problem_fingerprint(bench_.problem) ^ robust_.fingerprint();
-  cache_.clear();
 }
 
 CoolingNetwork TreeTopologyOptimizer::realize(const TreeLayout& layout,
@@ -135,16 +124,8 @@ EvalResult TreeTopologyOptimizer::evaluate_network(
                                          resolved, pressure);
   if (design != nullptr) *design = key.network;
   if (const auto cached = cache_.find(key)) return *cached;
-  // Robust mode re-scores the full searches only; the fixed-pressure and
-  // follower probes exist to be cheap and keep nominal scoring.
-  const bool full =
-      resolved == EvalMode::kFullP1 || resolved == EvalMode::kFullP2;
-  const EvalResult result =
-      !robust_.empty() && full
-          ? robust_evaluate(bench_.problem, network, constraints_, resolved,
-                            sim, search_options_, robust_)
-          : evaluate(bench_.problem, network, constraints_, resolved, sim,
-                     search_options_, pressure);
+  const EvalResult result = evaluate(bench_.problem, network, constraints_,
+                                     resolved, sim, search_options_, pressure);
   cache_.store(key, result);
   return result;
 }

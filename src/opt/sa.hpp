@@ -25,7 +25,6 @@
 #include "network/generators.hpp"
 #include "opt/eval_cache.hpp"
 #include "opt/evaluator.hpp"
-#include "reliability/robust.hpp"
 
 namespace lcn {
 
@@ -98,10 +97,10 @@ class TreeTopologyOptimizer {
   CoolingNetwork realize(const TreeLayout& layout, int direction) const;
 
   /// The one cached evaluation path (DESIGN.md §S10): DRC, cache, then
-  /// robust_evaluate (full modes in robust mode) or evaluate(). `mode`
-  /// defaults to the objective's full search; `design`, when given, receives
-  /// the network's content hash (0 for a DRC reject). Infeasible designs,
-  /// DRC rejects and hydraulically broken ones score +inf.
+  /// evaluate(). `mode` defaults to the objective's full search; `design`,
+  /// when given, receives the network's content hash (0 for a DRC reject).
+  /// Infeasible designs, DRC rejects and hydraulically broken ones score
+  /// +inf.
   EvalResult evaluate_network(const CoolingNetwork& network,
                               const SimConfig& sim,
                               std::optional<EvalMode> mode = std::nullopt,
@@ -113,16 +112,6 @@ class TreeTopologyOptimizer {
   /// The run's evaluator cache (DESIGN.md §S10); exposed for tests and
   /// bench instrumentation.
   const EvaluatorCache& cache() const { return cache_; }
-
-  /// Opt-in robust mode (DESIGN.md §S17): every full network evaluation
-  /// becomes the worst case over a fixed fault sample drawn here from the
-  /// problem grid, so the SA prefers designs that survive degradation.
-  /// Fixed-pressure and grouped-follower probes keep nominal scoring (they
-  /// exist to be cheap). The sample fingerprint is mixed into the cache
-  /// fingerprint, so robust and nominal probes never alias. Call before
-  /// run().
-  void enable_robust_mode(const RobustOptions& options);
-  const RobustSample& robust_sample() const { return robust_; }
 
  private:
   /// The island engine (opt/islands.cpp) runs K generalized copies of this
@@ -142,9 +131,8 @@ class TreeTopologyOptimizer {
   EvalMode full_mode_;  ///< kFullP1 or kFullP2, from the objective
   DesignRules rules_;   ///< DRC with the case's restricted region
   PressureSearchOptions search_options_;
-  std::uint64_t problem_fp_ = 0;
+  std::uint64_t problem_fp_;
   mutable EvaluatorCache cache_;
-  RobustSample robust_;
 };
 
 struct BaselineOutcome {

@@ -1,7 +1,6 @@
 #include "reliability/fault_model.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "common/strings.hpp"
@@ -9,21 +8,6 @@
 namespace lcn {
 
 namespace {
-
-class Fnv {
- public:
-  void mix(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h_ ^= (v >> (byte * 8)) & 0xffULL;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_double(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 /// Liquid cell nearest to (row, col): smallest squared Euclidean distance,
 /// ties broken by the ascending scan order (lowest linear id), so the mapping
@@ -82,17 +66,16 @@ void apply_blockage(DegradedSystem& sys, const Fault& fault) {
   }
 }
 
-}  // namespace
-
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kChannelBlockage: return "block";
-    case FaultKind::kPumpDroop: return "droop";
-    case FaultKind::kInletDrift: return "drift";
-    case FaultKind::kPowerExcursion: return "power";
-  }
-  return "?";
+/// Activation of a timed fault at time t: 0 before onset, linear over the
+/// ramp, 1 afterwards.
+double timed_activation(const TimedFault& timed, double t) {
+  if (t < timed.onset) return 0.0;
+  if (timed.ramp <= 0.0) return 1.0;
+  const double a = (t - timed.onset) / timed.ramp;
+  return a < 1.0 ? a : 1.0;
 }
+
+}  // namespace
 
 std::string FaultScenario::describe() const {
   if (faults.empty()) return "nominal";
@@ -122,21 +105,6 @@ std::string FaultScenario::describe() const {
     }
   }
   return out;
-}
-
-std::uint64_t scenario_fingerprint(const FaultScenario& scenario) {
-  Fnv fnv;
-  fnv.mix(scenario.faults.size());
-  for (const Fault& fault : scenario.faults) {
-    fnv.mix(static_cast<std::uint64_t>(fault.kind));
-    fnv.mix(static_cast<std::uint64_t>(fault.row));
-    fnv.mix(static_cast<std::uint64_t>(fault.col));
-    fnv.mix(static_cast<std::uint64_t>(fault.radius));
-    fnv.mix_double(fault.severity);
-    fnv.mix_double(fault.magnitude);
-    fnv.mix(static_cast<std::uint64_t>(fault.layer));
-  }
-  return fnv.value();
 }
 
 DegradedSystem apply_scenario(const CoolingProblem& nominal,
@@ -248,13 +216,6 @@ Rng scenario_rng(std::uint64_t seed, std::size_t index) {
   SplitMix64 sm(seed ^ (static_cast<std::uint64_t>(index) *
                         0x9e3779b97f4a7c15ULL));
   return Rng(sm.next());
-}
-
-double timed_activation(const TimedFault& timed, double t) {
-  if (t < timed.onset) return 0.0;
-  if (timed.ramp <= 0.0) return 1.0;
-  const double a = (t - timed.onset) / timed.ramp;
-  return a < 1.0 ? a : 1.0;
 }
 
 FaultScenario active_structural_faults(const std::vector<TimedFault>& faults,

@@ -42,8 +42,6 @@ enum class FaultKind : std::uint8_t {
   kPowerExcursion = 3,
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 struct Fault {
   FaultKind kind = FaultKind::kPumpDroop;
   /// Blockage patch center (grid frame) and Chebyshev radius.
@@ -67,10 +65,6 @@ struct FaultScenario {
   /// Short human-readable summary, e.g. "block(12,8 r1 70%) + droop(20%)".
   std::string describe() const;
 };
-
-/// Stable 64-bit hash of a scenario; mixed into evaluator-cache keys so a
-/// robust-mode evaluation can never alias a nominal one.
-std::uint64_t scenario_fingerprint(const FaultScenario& scenario);
 
 /// A degraded copy of the system under one scenario. `pressure_derate` maps
 /// commanded pump pressure to delivered pressure (droop faults compose
@@ -156,10 +150,6 @@ struct TimedFault {
   double ramp = 0.0;   ///< s from onset to full effect; 0 = step change
   Fault fault;
 };
-
-/// Activation of a timed fault at time t: 0 before onset, linear over the
-/// ramp, 1 afterwards.
-double timed_activation(const TimedFault& timed, double t);
 
 /// Structural (blockage) faults active at time t, at full severity.
 /// Feed to apply_scenario() when the active set changes.

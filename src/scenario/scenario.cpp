@@ -391,10 +391,4 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
   return result;
 }
 
-double scenario_peak_t_max(const CoolingProblem& problem,
-                           const CoolingNetwork& network,
-                           const ScenarioConfig& config) {
-  return run_scenario(problem, network, config).peak_t_max;
-}
-
 }  // namespace lcn

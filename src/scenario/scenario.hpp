@@ -165,10 +165,4 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
                             const ScenarioConfig& config,
                             const ScenarioCallback& on_sample = {});
 
-/// Peak T_max over a reference trace — the transient-aware objective the
-/// Pareto archive can carry next to the steady metrics (§S21).
-double scenario_peak_t_max(const CoolingProblem& problem,
-                           const CoolingNetwork& network,
-                           const ScenarioConfig& config);
-
 }  // namespace lcn

@@ -100,47 +100,4 @@ std::vector<double> CsrMatrix::to_dense() const {
   return dense;
 }
 
-void TripletList::add(std::size_t row, std::size_t col, double value) {
-  LCN_REQUIRE(row < rows_ && col < cols_, "triplet index out of range");
-  if (value != 0.0) triplets_.push_back({row, col, value});
-}
-
-namespace {
-
-/// Sort, merge duplicates (summing in sorted order), and build CSR.
-CsrMatrix compress_triplets(std::size_t rows, std::size_t cols,
-                            std::vector<Triplet>&& sorted) {
-  std::sort(sorted.begin(), sorted.end(), &triplet_pattern_order);
-
-  std::vector<std::size_t> row_ptr(rows + 1, 0);
-  std::vector<std::size_t> col_idx;
-  std::vector<double> values;
-  col_idx.reserve(sorted.size());
-  values.reserve(sorted.size());
-
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t j = i;
-    double sum = 0.0;
-    while (j < sorted.size() && sorted[j].row == sorted[i].row &&
-           sorted[j].col == sorted[i].col) {
-      sum += sorted[j].value;
-      ++j;
-    }
-    col_idx.push_back(sorted[i].col);
-    values.push_back(sum);
-    ++row_ptr[sorted[i].row + 1];
-    i = j;
-  }
-  for (std::size_t r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
-
-  return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
-}
-
-}  // namespace
-
-CsrMatrix TripletList::to_csr() const {
-  return compress_triplets(rows_, cols_, std::vector<Triplet>(triplets_));
-}
-
 }  // namespace lcn::sparse

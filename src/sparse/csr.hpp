@@ -1,9 +1,10 @@
-// Compressed-sparse-row matrix plus a COO-style triplet builder.
+// Compressed-sparse-row matrix and the COO triplet it is assembled from.
 //
 // The flow solver assembles an SPD Laplacian over liquid cells; the thermal
 // simulators assemble a nonsymmetric advection-diffusion matrix over thermal
-// nodes. Both go through TripletList::to_csr(), which sorts and sums
-// duplicate entries (so assembly code can freely add partial conductances).
+// nodes. Both emit triplets that a SparsityPlan (sparse/sparsity_plan.hpp)
+// sorts and merges once, summing duplicate entries (so assembly code can
+// freely add partial conductances).
 #pragma once
 
 #include <cstddef>
@@ -20,12 +21,10 @@ struct Triplet {
   double value;
 };
 
-/// The one ordering used everywhere COO triplets are compressed to CSR:
-/// row-major, then by column. compress_triplets() and SparsityPlan::analyze()
-/// must sort with this exact comparator (same function, same std::sort
-/// instantiation) so the duplicate-summation order a plan captures is the
-/// order a fresh compression would use — the root of the refill ≡ fresh
-/// bit-identity guarantee.
+/// The one ordering used wherever COO triplets are compressed to CSR:
+/// row-major, then by column. SparsityPlan::analyze() sorts with it; the
+/// comparator reads (row, col) only, so the duplicate-summation order a plan
+/// captures depends on the pattern alone.
 inline bool triplet_pattern_order(const Triplet& a, const Triplet& b) {
   return a.row != b.row ? a.row < b.row : a.col < b.col;
 }
@@ -89,23 +88,6 @@ class CsrMatrix {
   SharedIndexes row_ptr_ = empty_indexes();
   SharedIndexes col_idx_ = empty_indexes();
   std::vector<double> values_;
-};
-
-class TripletList {
- public:
-  TripletList(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {}
-
-  void add(std::size_t row, std::size_t col, double value);
-  void reserve(std::size_t n) { triplets_.reserve(n); }
-  std::size_t size() const { return triplets_.size(); }
-
-  /// Sort, merge duplicates (summing), and build CSR.
-  CsrMatrix to_csr() const;
-
- private:
-  std::size_t rows_;
-  std::size_t cols_;
-  std::vector<Triplet> triplets_;
 };
 
 }  // namespace lcn::sparse

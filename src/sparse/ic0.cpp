@@ -73,7 +73,7 @@ void Ic0Preconditioner::factorize(const std::vector<double>& a_values) {
   }
 
   // IC(0) factorization in place on the lower pattern. Row entries are
-  // sorted (CSR from TripletList is sorted), diagonal last in each row.
+  // sorted (CSR from a SparsityPlan is sorted), diagonal last in each row.
   // pos_ maps col -> index in the current row; kept all -1 between calls.
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t row_begin = row_ptr_[i];

@@ -1,7 +1,7 @@
 // Incomplete Cholesky IC(0) preconditioner for SPD systems (the flow
-// pressure Laplacian). Falls back-compatible with the Preconditioner
-// interface used by cg_solve; typically 3-5x fewer CG iterations than
-// Jacobi on the benchmark networks.
+// pressure Laplacian), behind the Preconditioner interface cg_solve uses;
+// typically 3-5x fewer CG iterations than Jacobi on the benchmark networks
+// (tests/ic0_test.cpp).
 //
 // Construction runs a symbolic phase (extract the lower-triangular pattern
 // and the gather maps from A's value array and into the transposed view)
@@ -16,7 +16,7 @@ class Ic0Preconditioner final : public Preconditioner {
  public:
   /// Factorize L·Lᵀ ≈ A on the lower-triangular pattern of A. Throws
   /// lcn::RuntimeError when a pivot is not positive (matrix not SPD enough
-  /// for IC(0); callers can fall back to Jacobi).
+  /// for IC(0)).
   explicit Ic0Preconditioner(const CsrMatrix& a);
 
   /// z = (L·Lᵀ)⁻¹ r via forward + backward triangular solves.

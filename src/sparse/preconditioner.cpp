@@ -6,18 +6,6 @@
 
 namespace lcn::sparse {
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
-  LCN_REQUIRE(a.rows() == a.cols(), "Jacobi needs a square matrix");
-  inv_diag_ = a.diagonal();
-  for (double& d : inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
-}
-
-void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
-  LCN_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
-  z.resize(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
-}
-
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) { refactor(a); }
 
 void Ilu0Preconditioner::refactor(const CsrMatrix& a) {

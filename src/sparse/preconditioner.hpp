@@ -1,8 +1,8 @@
 // Preconditioners for the iterative solvers.
 //
-// JacobiPreconditioner suffices for the well-conditioned flow Laplacian;
-// Ilu0Preconditioner (zero fill-in incomplete LU) is the default for the
-// advective thermal systems, whose asymmetry grows with flow rate.
+// Ilu0Preconditioner (zero fill-in incomplete LU) serves the advective
+// thermal systems, whose asymmetry grows with flow rate; the SPD flow
+// Laplacian uses Ic0Preconditioner (sparse/ic0.hpp).
 #pragma once
 
 #include <cstdint>
@@ -16,22 +16,6 @@ class Preconditioner {
   virtual ~Preconditioner() = default;
   /// z = M^{-1} r
   virtual void apply(const Vector& r, Vector& z) const = 0;
-};
-
-/// M = I (no preconditioning).
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(const Vector& r, Vector& z) const override { z = r; }
-};
-
-/// M = diag(A). Rows with a zero diagonal fall back to identity scaling.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const CsrMatrix& a);
-  void apply(const Vector& r, Vector& z) const override;
-
- private:
-  Vector inv_diag_;
 };
 
 /// Zero fill-in incomplete LU factorization on the sparsity pattern of A.

@@ -1,6 +1,7 @@
 #include "sparse/solvers.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
@@ -214,15 +215,6 @@ SolveReport cg_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   return report;
 }
 
-SolveReport recorded_bicgstab(const CsrMatrix& a, const Vector& b, Vector& x,
-                              const Preconditioner& m, const SolveOptions& opts,
-                              SolverWorkspace& ws) {
-  return recorded("bicgstab_solve", metrics::Hist::bicgstab_seconds,
-                  instrument::Counter::bicgstab_solves,
-                  instrument::Counter::bicgstab_iterations,
-                  [&] { return bicgstab_impl(a, b, x, m, opts, ws); });
-}
-
 }  // namespace
 
 SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
@@ -234,33 +226,23 @@ SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 }
 
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                           const Preconditioner& m, const SolveOptions& opts) {
-  SolverWorkspace ws;
-  return recorded_bicgstab(a, b, x, m, opts, ws);
-}
-
-SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                            const Preconditioner& m, SolverWorkspace& ws,
                            const SolveOptions& opts) {
-  instrument::add(instrument::Counter::workspace_reuses);
-  return recorded_bicgstab(a, b, x, m, opts, ws);
+  return recorded("bicgstab_solve", metrics::Hist::bicgstab_seconds,
+                  instrument::Counter::bicgstab_solves,
+                  instrument::Counter::bicgstab_iterations,
+                  [&] { return bicgstab_impl(a, b, x, m, opts, ws); });
 }
 
 void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                         const std::string& context, const SolveOptions& opts) {
-  // IC(0) when the matrix admits it, Jacobi otherwise.
-  SolveReport report;
+  std::optional<Ic0Preconditioner> ic0;
   try {
-    const Ic0Preconditioner ic0(a);
-    report = cg_solve(a, b, x, ic0, opts);
-  } catch (const RuntimeError&) {
-    report.converged = false;
+    ic0.emplace(a);
+  } catch (const RuntimeError& e) {
+    throw RuntimeError(context + ": " + e.what());
   }
-  if (!report.converged) {
-    x.assign(a.rows(), 0.0);
-    const JacobiPreconditioner jacobi(a);
-    report = cg_solve(a, b, x, jacobi, opts);
-  }
+  const SolveReport report = cg_solve(a, b, x, *ic0, opts);
   if (!report.converged) {
     throw RuntimeError(context + ": CG failed to converge (rel residual " +
                        std::to_string(report.relative_residual) + " after " +

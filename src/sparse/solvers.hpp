@@ -1,12 +1,11 @@
 // Iterative Krylov solvers: preconditioned CG for the SPD flow system and
 // preconditioned BiCGSTAB for the nonsymmetric thermal system.
 //
-// BiCGSTAB has two entry points: the classic one (allocates its Krylov
-// vectors per call) and a workspace one that reuses a caller-owned
-// SolverWorkspace across solves, which the thermal steady solve uses. Both
-// produce bit-identical iterates — the workspace variant re-initialises
-// exactly the state the classic variant constructs, so persistent scratch
-// never leaks a previous solve into the next (DESIGN.md §S18).
+// BiCGSTAB runs on a caller-owned SolverWorkspace that the thermal steady
+// solve reuses across solves. Each solve re-initialises every vector it
+// reads, so persistent scratch never leaks a previous solve into the next
+// and the iterates do not depend on the workspace's history (DESIGN.md
+// §S18).
 #pragma once
 
 #include <string>
@@ -43,13 +42,12 @@ SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 
 /// Preconditioned BiCGSTAB for general square systems.
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                           const Preconditioner& m,
-                           const SolveOptions& opts = {});
-SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                            const Preconditioner& m, SolverWorkspace& ws,
                            const SolveOptions& opts = {});
 
-/// Convenience: solve and throw lcn::RuntimeError(context) on failure.
+/// IC(0)-preconditioned CG for the SPD flow system. Throws
+/// lcn::RuntimeError(context...) when IC(0) breaks down or CG does not
+/// converge.
 void solve_spd_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                         const std::string& context,
                         const SolveOptions& opts = {});

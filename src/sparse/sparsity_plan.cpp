@@ -10,9 +10,8 @@ namespace lcn::sparse {
 SparsityPlan SparsityPlan::analyze(std::size_t rows, std::size_t cols,
                                    const std::vector<Triplet>& pattern) {
   // Tag every slot with its index (exact as a double for any realistic nnz)
-  // and run the identical sort compress_triplets() runs. The comparator
-  // never reads values, so the permutation is the one a fresh compression
-  // of this pattern would apply.
+  // and sort by (row, col). The comparator never reads values, so the
+  // permutation depends on the pattern alone.
   LCN_REQUIRE(pattern.size() < (1ull << 53),
               "SparsityPlan: pattern too large to tag exactly");
   std::vector<Triplet> tagged(pattern.size());
@@ -29,8 +28,8 @@ SparsityPlan SparsityPlan::analyze(std::size_t rows, std::size_t cols,
   plan.perm_.reserve(tagged.size());
   plan.slot_.reserve(tagged.size());
 
-  // Same duplicate-group walk as compress_triplets(), recording the scatter
-  // map instead of summing values.
+  // Walk each duplicate group, recording the scatter map instead of summing
+  // values.
   std::vector<std::size_t> row_ptr(rows + 1, 0);
   std::vector<std::size_t> col_idx;
   col_idx.reserve(tagged.size());

@@ -1,28 +1,26 @@
 // Symbolic half of the COO→CSR split (DESIGN.md §S18).
 //
-// compress_triplets() does three jobs every time a system is assembled:
-// sort the triplet sequence, merge duplicates, and build the CSR index
-// arrays. For a fixed (problem, network) all of that is invariant across
-// probe parameters — only the *values* change. SparsityPlan runs the
-// symbolic work once and captures, for every original triplet slot, where
-// its value lands in the CSR value array and in which order duplicate
-// contributions are summed. A numeric refill() is then a single linear pass
-// with no sorting and no index allocation.
+// Compressing a COO triplet sequence to CSR does three jobs: sort the
+// triplets, merge duplicates, and build the CSR index arrays. For a fixed
+// (problem, network) all of that is invariant across probe parameters —
+// only the *values* change. SparsityPlan runs the symbolic work once and
+// captures, for every original triplet slot, where its value lands in the
+// CSR value array and in which order duplicate contributions are summed. A
+// numeric refill() is then a single linear pass with no sorting and no index
+// allocation.
 //
-// Bit-identity contract: refill() produces value arrays bit-identical to a
-// fresh TripletList::to_csr() of the same triplet sequence.
-// Three facts make this exact rather than approximate:
-//   1. analyze() sorts with the same std::sort instantiation and the same
-//      comparator (triplet_pattern_order) as compress_triplets(). The sort's
-//      permutation depends only on comparator outcomes over (row, col) keys,
-//      so tagging triplets with slot indices instead of values yields the
-//      permutation a fresh compression would apply.
-//   2. refill() accumulates contributions in captured sorted order into
-//      slots initialised to 0.0 — the same `sum = 0.0; sum += v...` loop
-//      compress_triplets() runs per duplicate group.
+// Bit-identity contract: every refill() of the same slot values produces
+// the same value array as the plan's first assembly. Three facts make this
+// exact:
+//   1. analyze() sorts slot-tagged triplets with triplet_pattern_order,
+//      which compares (row, col) keys only, so the scatter map never depends
+//      on values.
+//   2. refill() accumulates contributions in the captured sorted order into
+//      slots initialised to 0.0, the same additions on every call.
 //   3. The caller guarantees the pattern is really invariant: same number
-//      of triplets, same (row, col) per slot (assembly code that skips
-//      zero-valued entries must skip them identically on every emission).
+//      of triplets, same (row, col) per slot. A value that is exactly 0.0
+//      stays in the matrix as an explicit zero, and assembly code that skips
+//      zero-valued entries must skip them identically on every emission.
 #pragma once
 
 #include <cstddef>

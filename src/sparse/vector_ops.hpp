@@ -1,7 +1,7 @@
 // Dense vector kernels shared by the iterative solvers. Every kernel runs on
 // the calling thread in index order, so results do not depend on the pool
-// width; parallelism is spent on the coarse loops (SA neighbours, exhaustive
-// grid points, sweep scenarios) that call the solvers.
+// width; parallelism is spent on the coarse loops (SA/island neighbours,
+// sweep scenarios) that call the solvers.
 #pragma once
 
 #include <cmath>

@@ -60,8 +60,8 @@ class ThermalAssemblyPlan {
     std::vector<std::pair<std::size_t, double>> outlet_units;
     std::vector<double> inflow_units;
 
-    /// P_sys-invariant matrix entry. Zero values are dropped exactly like
-    /// TripletList::add does in a fresh assembly.
+    /// P_sys-invariant matrix entry. Zero values are dropped, so they never
+    /// enter the pattern.
     void add_const(std::size_t i, std::size_t j, double v) {
       if (v == 0.0) return;
       pattern.push_back({i, j, 0.0});

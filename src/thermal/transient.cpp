@@ -45,7 +45,7 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
   if (!same_structure) {
     // Capture the slot sources in the exact emission order of the historical
     // fresh triplet build: per row, A's stored entries then the diagonal
-    // capacitance term, zero values dropped like TripletList::add drops them.
+    // capacitance term, zero values dropped.
     const auto& row_ptr = system.matrix.row_ptr();
     const auto& col_idx = system.matrix.col_idx();
     const auto& values = system.matrix.values();

@@ -2,7 +2,7 @@
 // cross-validation it exists for.
 #include <gtest/gtest.h>
 
-#include "opt/exhaustive.hpp"
+#include "exhaustive.hpp"
 
 namespace lcn {
 namespace {

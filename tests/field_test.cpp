@@ -14,6 +14,7 @@
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
 #include "thermal/temp_map.hpp"
+#include "triplet_list.hpp"
 
 namespace lcn {
 namespace {
@@ -227,7 +228,8 @@ TEST(TrueResidual, FiresOnASolveStoppedEarly) {
   sparse::SolveOptions early;
   early.rel_tolerance = 1e-9;
   early.max_iterations = 3;
-  EXPECT_FALSE(sparse::bicgstab_solve(system.matrix, system.rhs, x, ilu,
+  sparse::SolverWorkspace ws;
+  EXPECT_FALSE(sparse::bicgstab_solve(system.matrix, system.rhs, x, ilu, ws,
                                       early)
                    .converged);
   const std::uint64_t before = instrument::snapshot().residual_violations;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "flow/flow_solver.hpp"
 #include "network/generators.hpp"
@@ -176,6 +177,25 @@ TEST(FlowSolver, ThrowsOnPortlessComponent) {
   net.set_liquid(3, 3);  // stranded cell
   const CoolantProperties water;
   EXPECT_THROW(FlowSolver(net, bench_channel(), water).solve(1.0),
+               RuntimeError);
+}
+
+TEST(FlowSolver, UnderflowedConductanceThrowsRuntimeError) {
+  // A cell scale of denorm_min underflows both of its pair conductances to
+  // exactly 0.0. The refill keeps them as explicit zeros, so the cell's
+  // diagonal is a zero pivot and the solve fails as a RuntimeError — the
+  // type evaluate() scores as an infeasible design.
+  const int n = 9;
+  const Grid2D grid(1, n, kPitch);
+  CoolingNetwork net(grid, /*alternating_tsvs=*/false);
+  for (int c = 0; c < n; ++c) net.set_liquid(0, c);
+  net.add_port({0, 0, Side::kWest, PortKind::kInlet});
+  net.add_port({0, n - 1, Side::kEast, PortKind::kOutlet});
+  FlowOptions options;
+  options.cell_conductance_scale.assign(grid.cell_count(), 1.0);
+  options.cell_conductance_scale[4] = std::numeric_limits<double>::denorm_min();
+  const CoolantProperties water;
+  EXPECT_THROW(FlowSolver(net, bench_channel(), water, options).solve(1.0),
                RuntimeError);
 }
 

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "reference_krylov.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/solvers.hpp"
+#include "triplet_list.hpp"
 
 namespace lcn::sparse {
 namespace {
@@ -59,7 +61,7 @@ TEST(Ic0, AcceleratesCgOverJacobi) {
   Vector b(a.rows(), 1.0);
 
   Vector x1;
-  const JacobiPreconditioner jacobi(a);
+  const reference::Jacobi jacobi(a);
   const SolveReport r1 = cg_solve(a, b, x1, jacobi);
   Vector x2;
   const Ic0Preconditioner ic0(a);

@@ -8,15 +8,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
 #include "network/generators.hpp"
 #include "opt/islands.hpp"
 #include "opt/sa.hpp"
+#include "service/json.hpp"
 
 namespace lcn {
 namespace {
@@ -198,6 +202,66 @@ TEST(Islands, DisabledCommunicationLeavesNoTrace) {
   ASSERT_EQ(out.island_designs.size(), 2u);
 }
 
+/// True when a trace line is one JSON object: the fixed event fields and,
+/// when present, the flat "args" object (the trace never nests deeper).
+bool trace_line_parses(const std::string& line) {
+  service::JsonObject parsed;
+  std::string error;
+  const std::string marker = ",\"args\":{";
+  const std::size_t at = line.find(marker);
+  if (at == std::string::npos) {
+    return service::parse_json_object(line, parsed, error);
+  }
+  const std::size_t open = at + marker.size() - 1;  // the args object's '{'
+  if (line.size() < open + 3 || line.compare(line.size() - 2, 2, "}}") != 0) {
+    return false;
+  }
+  const std::string args = line.substr(open, line.size() - 1 - open);
+  return service::parse_json_object(line.substr(0, at) + "}", parsed,
+                                    error) &&
+         service::parse_json_object(args, parsed, error);
+}
+
+TEST(Islands, InfeasibleSignoffTracesNullScore) {
+  // A ΔT* no design can meet: every chain's 4RM sign-off is infeasible and
+  // scores +inf, which the sa_island span must carry as JSON null.
+  BenchmarkCase bench = island_case();
+  bench.constraints.delta_t_max = 1e-3;
+  IslandOptions options;
+  options.islands = 2;
+  const std::vector<SaStage> stages = {
+      {"u1-fixedP", 1, 1, 1, 4, fast_sim(), true, 1}};
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lcn_islands_null_score.jsonl")
+          .string();
+  trace::TraceConfig config;
+  config.path = path;
+  config.background_flush = false;
+  trace::start(config);
+  IslandOptimizer opt(bench, DesignObjective::kPumpingPower, options, 3);
+  const IslandOutcome out = opt.run(stages);
+  trace::stop();
+  EXPECT_FALSE(out.best.feasible);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::size_t island_spans = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    EXPECT_TRUE(trace_line_parses(line)) << line;
+    if (line.find("\"name\":\"sa_island\"") == std::string::npos ||
+        line.find("\"ph\":\"E\"") == std::string::npos) {
+      continue;
+    }
+    ++island_spans;
+    EXPECT_NE(line.find("\"score\":null"), std::string::npos) << line;
+  }
+  EXPECT_EQ(island_spans, 2u);
+  in.close();
+  std::filesystem::remove(path);
+}
+
 TEST(Islands, SharedCacheDeduplicatesAcrossChains) {
   const BenchmarkCase bench = island_case();
   IslandOptions options;
@@ -211,39 +275,6 @@ TEST(Islands, SharedCacheDeduplicatesAcrossChains) {
   // And the population as a whole looked up exactly one cache entry per
   // candidate scoring.
   EXPECT_GE(out.best.evaluations, opt.cache().misses());
-}
-
-TEST(Islands, RobustModeRekeysSharedCacheAndStaysDeterministic) {
-  const BenchmarkCase bench = island_case();
-  IslandOptions options;
-  options.islands = 2;
-  options.migration_period = 2;
-
-  RobustOptions robust;
-  robust.scenarios = 1;
-  // The default robust seed's first scenario is the empty "nominal" draw,
-  // which would make one-scenario robust scoring a no-op; this seed draws
-  // droop(24%) + drift(+1.7K), so worst-case scores genuinely differ.
-  robust.seed = 2;
-
-  IslandOptimizer nominal(bench, DesignObjective::kPumpingPower, options, 13);
-  const IslandOutcome nominal_out = nominal.run(p1_schedule());
-
-  IslandOptimizer a(bench, DesignObjective::kPumpingPower, options, 13);
-  a.enable_robust_mode(robust);
-  const IslandOutcome robust_a = a.run(p1_schedule());
-
-  IslandOptimizer b(bench, DesignObjective::kPumpingPower, options, 13);
-  b.enable_robust_mode(robust);
-  const IslandOutcome robust_b = b.run(p1_schedule());
-
-  // Robust runs replay bit-identically...
-  EXPECT_EQ(run_print(robust_a), run_print(robust_b));
-  // ...and share the cache across chains under the robust fingerprint.
-  EXPECT_GT(a.cache().hits(), 0u);
-  // Worst-case-over-faults scoring differs from nominal scoring: identical
-  // archives would mean the robust fingerprint aliased nominal entries.
-  EXPECT_NE(run_print(robust_a).archive, run_print(nominal_out).archive);
 }
 
 // Thread sweep: the full communicating fingerprint at 1/2/4/8 workers must

@@ -145,8 +145,9 @@ TEST(BicgstabFused, MatchesTextbookLoopOnCaseOneSystems) {
       sparse::Vector x_fused = cold;
       sparse::SolveOptions opts;
       opts.rel_tolerance = tol;
+      sparse::SolverWorkspace ws;
       const sparse::SolveReport fused =
-          sparse::bicgstab_solve(a, b, x_fused, m, opts);
+          sparse::bicgstab_solve(a, b, x_fused, m, ws, opts);
       sparse::Vector x_ref = cold;
       const reference::BicgstabResult textbook =
           reference::bicgstab(a, b, x_ref, m, tol, 10 * a.rows() + 100);

@@ -50,7 +50,19 @@ TEST(Generators, StraightChannelsPassDrc) {
 }
 
 TEST(Generators, AlternatingStraightViolatesManifoldRule) {
-  const CoolingNetwork net = make_alternating_straight(bench_grid());
+  // Straight channels whose flow direction alternates per row: inlets and
+  // outlets share both sides, which the one-manifold-per-side rule forbids.
+  const Grid2D grid = bench_grid();
+  CoolingNetwork net(grid);
+  const int last = grid.cols() - 1;
+  for (int r = 0; r < grid.rows(); r += 2) {
+    for (int c = 0; c <= last; ++c) net.set_liquid(r, c);
+    const bool eastward = (r / 2) % 2 == 0;
+    net.add_port({r, 0, Side::kWest,
+                  eastward ? PortKind::kInlet : PortKind::kOutlet});
+    net.add_port({r, last, Side::kEast,
+                  eastward ? PortKind::kOutlet : PortKind::kInlet});
+  }
   const DrcResult result = check_design_rules(net);
   EXPECT_FALSE(result.ok());
   bool manifold_violation = false;

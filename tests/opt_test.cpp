@@ -10,6 +10,7 @@
 #include "network/generators.hpp"
 #include "opt/evaluator.hpp"
 #include "opt/sa.hpp"
+#include "reliability/fault_model.hpp"
 
 namespace lcn {
 namespace {
@@ -138,7 +139,7 @@ void expect_same_result(const EvalResult& got, const EvalResult& want) {
 /// The one evaluation entry point, per EvalMode: evaluate() reproduces the
 /// SystemEvaluator sequence it replaced bit for bit and counts a solver
 /// failure once; evaluate_network() rejects DRC violations before the cache
-/// and, in robust mode, re-scores only the full searches.
+/// and otherwise caches exactly what evaluate() returns.
 class EvaluateEntryPoint : public ::testing::TestWithParam<EvalMode> {};
 
 TEST_P(EvaluateEntryPoint, MatchesHandWrittenSequenceAndCachedPath) {
@@ -194,18 +195,9 @@ TEST_P(EvaluateEntryPoint, MatchesHandWrittenSequenceAndCachedPath) {
                      EvalResult::infeasible_result());
   EXPECT_EQ(instrument::snapshot().eval_failures, failures + 1);
 
-  // The optimizer's cached path in robust mode: a DRC reject never reaches
-  // the cache; the full searches equal robust_evaluate, the fixed-pressure
-  // probes stay nominal. Power excursions only, so every robust score is
-  // strictly worse than the nominal one.
+  // The optimizer's cached path: a DRC reject never reaches the cache, and
+  // a clean design caches the evaluate() result.
   TreeTopologyOptimizer opt(bench, DesignObjective::kPumpingPower, 3);
-  RobustOptions robust;
-  robust.scenarios = 2;
-  robust.distribution.p_blockage = 0.0;
-  robust.distribution.p_pump_droop = 0.0;
-  robust.distribution.p_inlet_drift = 0.0;
-  robust.distribution.p_power_excursion = 1.0;
-  opt.enable_robust_mode(robust);
 
   CoolingNetwork dirty(bench.problem.grid, /*alternating_tsvs=*/false);
   for (int c = 0; c < 31; ++c) dirty.set_liquid(1, c);  // odd row: TSV row
@@ -227,15 +219,10 @@ TEST_P(EvaluateEntryPoint, MatchesHandWrittenSequenceAndCachedPath) {
       opt.evaluate_network(net, fast_sim(), mode, pressure, &design);
   EXPECT_EQ(design, net.content_hash());
   EXPECT_EQ(opt.cache().misses(), 1u);
-  if (mode == EvalMode::kFullP1 || mode == EvalMode::kFullP2) {
-    expect_same_result(cached, robust_evaluate(bench.problem, net,
-                                               opt.constraints(), mode,
-                                               fast_sim(), search,
-                                               opt.robust_sample()));
-    EXPECT_GT(cached.score, nominal.score);
-  } else {
-    expect_same_result(cached, nominal);
-  }
+  expect_same_result(cached, nominal);
+  expect_same_result(
+      opt.evaluate_network(net, fast_sim(), mode, pressure, &design), nominal);
+  EXPECT_EQ(opt.cache().hits(), 1u);
 }
 
 std::string mode_name(const ::testing::TestParamInfo<EvalMode>& info) {

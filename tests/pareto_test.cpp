@@ -1,11 +1,14 @@
-// Tests for the persistent Pareto archive (DESIGN.md §S21): dominance
-// semantics, insertion-order independence, content-hash dedup, hypervolume,
-// and exact JSONL round-trips.
+// Tests for the Pareto archive (DESIGN.md §S21): dominance semantics,
+// insertion-order independence, content-hash dedup, hypervolume, and the
+// exact JSONL snapshot format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -179,6 +182,14 @@ TEST(ParetoArchive, HypervolumeGrowsWithFrontier) {
   EXPECT_GT(after, before);
 }
 
+/// The number printed after `"key":` in a to_jsonl() line.
+double number_after(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  return std::strtod(line.c_str() + at + needle.size(), nullptr);
+}
+
 TEST(ParetoArchive, JsonlRoundTripIsExact) {
   ParetoArchive archive;
   // Awkward doubles (non-terminating binary fractions, subnormal-ish
@@ -190,61 +201,37 @@ TEST(ParetoArchive, JsonlRoundTripIsExact) {
   ASSERT_EQ(archive.insert(a), ArchiveInsert::kInserted);
   ASSERT_EQ(archive.insert(b), ArchiveInsert::kInserted);
 
+  // One line per point in canonical order; %.17g reads back bit-exactly.
+  const std::string text = archive.to_jsonl();
+  const std::size_t split = text.find('\n');
+  ASSERT_NE(split, std::string::npos);
+  ASSERT_EQ(text.back(), '\n');
+  const std::vector<std::string> lines = {
+      text.substr(0, split), text.substr(split + 1, text.size() - split - 2)};
+  const std::vector<ParetoPoint> want = archive.sorted();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::string& line = lines[i];
+    EXPECT_EQ(std::strtoull(line.c_str() + line.find(':') + 1, nullptr, 10),
+              want[i].design);
+    EXPECT_EQ(number_after(line, "w_pump"), want[i].w_pump);  // not NEAR
+    EXPECT_EQ(number_after(line, "delta_t"), want[i].delta_t);
+    EXPECT_EQ(number_after(line, "t_max"), want[i].t_max);
+    EXPECT_EQ(number_after(line, "p_sys"), want[i].p_sys);
+  }
+  EXPECT_EQ(want[0].design, 7u);
+  EXPECT_NE(lines[1].find(
+                "\"tag\":\"island2/\\\"s1\\\"\\\\coarse\\nline2\"}"),
+            std::string::npos)
+      << lines[1];
+
+  // save_jsonl writes exactly to_jsonl().
   const std::string path = temp_path("pareto_roundtrip.jsonl");
   archive.save_jsonl(path);
-  const ParetoArchive loaded = ParetoArchive::load_jsonl(path);
-  ASSERT_EQ(loaded.size(), archive.size());
-  const std::vector<ParetoPoint> want = archive.sorted();
-  const std::vector<ParetoPoint> got = loaded.sorted();
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].design, want[i].design);
-    EXPECT_EQ(got[i].w_pump, want[i].w_pump);  // bit-exact, not NEAR
-    EXPECT_EQ(got[i].delta_t, want[i].delta_t);
-    EXPECT_EQ(got[i].t_max, want[i].t_max);
-    EXPECT_EQ(got[i].p_sys, want[i].p_sys);
-    EXPECT_EQ(got[i].tag, want[i].tag);
-  }
-  // Serializing the loaded archive reproduces the file byte for byte.
-  EXPECT_EQ(loaded.to_jsonl(), archive.to_jsonl());
+  std::ifstream in(path);
+  const std::string saved((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(saved, text);
   std::remove(path.c_str());
-}
-
-TEST(ParetoArchive, LoadRepairsDominatedSnapshotRows) {
-  // A hand-edited snapshot may contain dominated rows; loading re-inserts
-  // every line, so the result is still a valid frontier.
-  const std::string path = temp_path("pareto_dominated.jsonl");
-  {
-    ParetoArchive archive;
-    archive.insert(point(1, 1.0, 1.0, 1.0));
-    archive.save_jsonl(path);
-  }
-  ParetoArchive dominated_rows;
-  dominated_rows.insert(point(2, 5.0, 5.0, 5.0));
-  {
-    // Append a dominated row by hand.
-    std::string contents = ParetoArchive::load_jsonl(path).to_jsonl() +
-                           dominated_rows.to_jsonl();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(contents.data(), 1, contents.size(), f);
-    std::fclose(f);
-  }
-  const ParetoArchive loaded = ParetoArchive::load_jsonl(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.points().front().design, 1u);
-  EXPECT_EQ(loaded.dominated(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(ParetoArchive, MalformedSnapshotLinesThrow) {
-  EXPECT_THROW(ParetoArchive::parse_point("{\"design\":1}"), RuntimeError);
-  EXPECT_THROW(
-      ParetoArchive::parse_point("{\"design\":1,\"w_pump\":oops,"
-                                 "\"delta_t\":1,\"t_max\":1,\"p_sys\":1,"
-                                 "\"tag\":\"x\"}"),
-      RuntimeError);
-  EXPECT_THROW(ParetoArchive::load_jsonl(temp_path("does_not_exist.jsonl")),
-               RuntimeError);
 }
 
 TEST(ParetoArchive, ClearResetsPointsAndCounters) {
@@ -256,76 +243,6 @@ TEST(ParetoArchive, ClearResetsPointsAndCounters) {
   EXPECT_EQ(archive.attempts(), 0u);
   EXPECT_EQ(archive.inserted(), 0u);
   EXPECT_EQ(archive.duplicates(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Transient-aware objective (§S23): t_peak as an optional 4th dimension.
-
-ParetoPoint transient_point(std::uint64_t design, double w, double dt,
-                            double tmax, double t_peak) {
-  ParetoPoint p = point(design, w, dt, tmax);
-  p.t_peak = t_peak;
-  return p;
-}
-
-TEST(ParetoTransient, TPeakBreaksSteadyDominance) {
-  // b is weakly worse than a in every steady objective, but its lower
-  // transient peak makes the two incomparable under the 4D order.
-  const ParetoPoint a = transient_point(1, 1.0, 2.0, 3.0, 320.0);
-  const ParetoPoint b = transient_point(2, 1.0, 2.0, 3.5, 310.0);
-  EXPECT_TRUE(pareto_dominates(a, b));  // steady order ignores t_peak
-  EXPECT_FALSE(pareto_dominates_transient(a, b));
-  EXPECT_FALSE(pareto_dominates_transient(b, a));
-  // With an equal t_peak the steady order is restored.
-  EXPECT_TRUE(pareto_dominates_transient(
-      a, transient_point(2, 1.0, 2.0, 3.5, 320.0)));
-}
-
-TEST(ParetoTransient, ArchiveModeControlsPruning) {
-  const ParetoPoint steady_better = transient_point(1, 1.0, 2.0, 3.0, 320.0);
-  const ParetoPoint transient_better =
-      transient_point(2, 1.5, 2.5, 3.5, 305.0);
-
-  ParetoArchive steady;  // default: 3 objectives
-  EXPECT_FALSE(steady.transient_objective());
-  EXPECT_EQ(steady.insert(steady_better), ArchiveInsert::kInserted);
-  EXPECT_EQ(steady.insert(transient_better), ArchiveInsert::kDominated);
-
-  ParetoArchive transient(true);  // t_peak counts: both survive
-  EXPECT_TRUE(transient.transient_objective());
-  EXPECT_EQ(transient.insert(steady_better), ArchiveInsert::kInserted);
-  EXPECT_EQ(transient.insert(transient_better), ArchiveInsert::kInserted);
-  EXPECT_EQ(transient.size(), 2u);
-
-  // A point worse in all four objectives is still pruned.
-  EXPECT_EQ(transient.insert(transient_point(3, 2.0, 3.0, 4.0, 330.0)),
-            ArchiveInsert::kDominated);
-  // Non-finite t_peak is rejected only when the objective is active.
-  const ParetoPoint bad_peak = transient_point(
-      4, 0.1, 0.1, 0.1, std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(transient.insert(bad_peak), ArchiveInsert::kNotFinite);
-  EXPECT_EQ(steady.insert(bad_peak), ArchiveInsert::kInserted);
-}
-
-TEST(ParetoTransient, JsonlRoundTripCarriesTPeak) {
-  ParetoArchive archive(true);
-  archive.insert(transient_point(7, 0.25, 5.0, 350.0, 0x1.8p8));
-  archive.insert(transient_point(8, 0.5, 4.0, 351.0, 359.875));
-  const std::string path = temp_path("pareto_transient.jsonl");
-  archive.save_jsonl(path);
-
-  const ParetoArchive loaded = ParetoArchive::load_jsonl(path, true);
-  EXPECT_TRUE(loaded.transient_objective());
-  EXPECT_EQ(loaded.sorted(), archive.sorted());
-  std::remove(path.c_str());
-}
-
-TEST(ParetoTransient, LegacySnapshotLinesLoadWithZeroTPeak) {
-  const ParetoPoint p = ParetoArchive::parse_point(
-      "{\"design\":5,\"w_pump\":1,\"delta_t\":2,\"t_max\":3,\"p_sys\":4,"
-      "\"tag\":\"old\"}");
-  EXPECT_EQ(p.t_peak, 0.0);
-  EXPECT_EQ(p.design, 5u);
 }
 
 }  // namespace

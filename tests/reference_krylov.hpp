@@ -4,7 +4,8 @@
 // production kernels (src/sparse, DESIGN.md §S18 "ILU(0) split layout and
 // the fused BiCGSTAB") compute the same mathematics with a different
 // rounding order; the tests hold them to these forms in accuracy, in
-// iteration count and in speed.
+// iteration count and in speed. The identity and Jacobi preconditioners are
+// the baselines the CG tests measure IC(0) against.
 #pragma once
 
 #include <cmath>
@@ -17,6 +18,32 @@
 #include "sparse/vector_ops.hpp"
 
 namespace lcn::reference {
+
+/// M = I (no preconditioning).
+class Identity final : public sparse::Preconditioner {
+ public:
+  void apply(const sparse::Vector& r, sparse::Vector& z) const override {
+    z = r;
+  }
+};
+
+/// M = diag(A). Rows with a zero diagonal fall back to identity scaling.
+class Jacobi final : public sparse::Preconditioner {
+ public:
+  explicit Jacobi(const sparse::CsrMatrix& a) : inv_diag_(a.diagonal()) {
+    LCN_REQUIRE(a.rows() == a.cols(), "Jacobi needs a square matrix");
+    for (double& d : inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
+  }
+
+  void apply(const sparse::Vector& r, sparse::Vector& z) const override {
+    LCN_REQUIRE(r.size() == inv_diag_.size(), "Jacobi apply: size mismatch");
+    z.resize(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
+  }
+
+ private:
+  sparse::Vector inv_diag_;
+};
 
 /// ILU(0) in A's CSR layout: IKJ elimination on a copy of A's values, a
 /// forward sweep that stops each row at its diagonal, and a backward sweep

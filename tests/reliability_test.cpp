@@ -13,7 +13,6 @@
 #include "network/generators.hpp"
 #include "opt/sa.hpp"
 #include "reliability/fault_model.hpp"
-#include "reliability/robust.hpp"
 #include "reliability/sweep.hpp"
 
 namespace lcn {
@@ -157,13 +156,12 @@ TEST(FaultModelTest, ScenarioSamplingIsAPureFunctionOfSeedAndIndex) {
     const FaultScenario sa = sample_scenario(dist, grid, 2, a);
     const FaultScenario sb = sample_scenario(dist, grid, 2, b);
     EXPECT_EQ(sa.faults, sb.faults);
-    EXPECT_EQ(scenario_fingerprint(sa), scenario_fingerprint(sb));
   }
   Rng a = scenario_rng(123, 0);
   Rng b = scenario_rng(124, 0);
   const FaultScenario sa = sample_scenario(dist, grid, 2, a);
   const FaultScenario sb = sample_scenario(dist, grid, 2, b);
-  EXPECT_NE(scenario_fingerprint(sa), scenario_fingerprint(sb));
+  EXPECT_NE(sa.faults, sb.faults);
 }
 
 TEST(SweepTest, DroopOnlyScenarioIsRecoverableWithHigherCommand) {
@@ -374,52 +372,6 @@ TEST(SweepTest, BoundaryOnlyScenariosBuildNoModel) {
   EXPECT_EQ(both.symbolic, 1 + blocked);
 }
 
-TEST(RobustTest, EmptySampleEqualsNominalEvaluation) {
-  const CoolingProblem problem = small_problem();
-  const CoolingNetwork net = tree_network(problem);
-  DesignConstraints limits;
-  limits.delta_t_max = 12.0;
-  limits.t_max = 400.0;
-  SystemEvaluator eval(problem, net, SimConfig{ThermalModelKind::k2RM, 4});
-  const EvalResult nominal = evaluate_p1(eval, limits);
-
-  const EvalResult robust = robust_evaluate(
-      problem, net, limits, EvalMode::kFullP1,
-      SimConfig{ThermalModelKind::k2RM, 4}, PressureSearchOptions{},
-      RobustSample{});
-  EXPECT_EQ(nominal.feasible, robust.feasible);
-  EXPECT_EQ(nominal.score, robust.score);
-}
-
-TEST(RobustTest, WorstCaseScoreIsNoBetterThanNominal) {
-  const CoolingProblem problem = small_problem();
-  const CoolingNetwork net = tree_network(problem);
-  DesignConstraints limits;
-  limits.delta_t_max = 20.0;
-  limits.t_max = 450.0;
-  const SimConfig sim{ThermalModelKind::k2RM, 4};
-
-  SystemEvaluator eval(problem, net, sim);
-  const EvalResult nominal = evaluate_p1(eval, limits);
-  ASSERT_TRUE(nominal.feasible);
-
-  RobustOptions options;
-  options.scenarios = 3;
-  options.seed = 5;
-  // Keep the sample gentle so the degraded variants stay feasible.
-  options.distribution.full_blockage_fraction = 0.0;
-  options.distribution.severity_max = 0.5;
-  const RobustSample sample(problem.grid, 2, options);
-  ASSERT_EQ(sample.scenarios().size(), 3u);
-
-  const EvalResult robust =
-      robust_evaluate(problem, net, limits, EvalMode::kFullP1, sim,
-                      PressureSearchOptions{}, sample);
-  if (robust.feasible) {
-    EXPECT_GE(robust.score, nominal.score);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Determinism across thread counts (the PR-1 contract extended to sweeps).
 
@@ -484,40 +436,6 @@ INSTANTIATE_TEST_SUITE_P(Threads, ReliabilityParallel,
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "t" + std::to_string(info.param);
                          });
-
-TEST(RobustSaTest, RobustSaRunIsDeterministicAcrossThreadCounts) {
-  BenchmarkCase bench;
-  bench.id = 97;
-  bench.name = "robust-sa";
-  bench.problem = small_problem();
-  bench.constraints.delta_t_max = 14.0;
-  bench.constraints.t_max = 420.0;
-
-  RobustOptions robust;
-  robust.scenarios = 2;
-  robust.seed = 9;
-  robust.distribution.full_blockage_fraction = 0.0;
-  robust.distribution.severity_max = 0.5;
-
-  auto run_once = [&]() {
-    TreeTopologyOptimizer opt(bench, DesignObjective::kPumpingPower, 7);
-    opt.enable_robust_mode(robust);
-    std::vector<SaStage> stages;
-    stages.push_back(
-        {"robust", 2, 1, 2, 4, SimConfig{ThermalModelKind::k2RM, 4}, false,
-         1});
-    const DesignOutcome outcome = opt.run(stages);
-    return std::pair{outcome.network.content_hash(), outcome.eval.score};
-  };
-
-  set_global_pool_threads(1);
-  const auto reference = run_once();
-  set_global_pool_threads(4);
-  const auto parallel = run_once();
-  set_global_pool_threads(0);
-  EXPECT_EQ(reference.first, parallel.first);
-  EXPECT_EQ(reference.second, parallel.second);
-}
 
 }  // namespace
 }  // namespace lcn

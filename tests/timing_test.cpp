@@ -152,8 +152,9 @@ TEST(TimingContract, FusedKernelsSolve4RmAtLeast1p25xReference) {
                   1,
                   [&](int) {
                     x = cold;
+                    sparse::SolverWorkspace ws;
                     EXPECT_TRUE(
-                        sparse::bicgstab_solve(a, sys.rhs, x, split, opts)
+                        sparse::bicgstab_solve(a, sys.rhs, x, split, ws, opts)
                             .converged);
                   });
             }),

@@ -6,7 +6,7 @@
 #include "flow/flow_solver.hpp"
 #include "network/generators.hpp"
 #include "thermal/model_4rm.hpp"
-#include "thermal/validation.hpp"
+#include "validation.hpp"
 
 namespace lcn {
 namespace {
