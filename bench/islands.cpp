@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -31,18 +30,12 @@ int islands() {
   const std::vector<int> ids = case_ids("1");
   IslandOptions options = island_options_from_env();
   if (options.islands < 2) options.islands = 2;
-  // The optimizer's default migration period targets full-length schedules;
-  // this experiment runs short stages, so default tighter
-  // (LCN_MIGRATION_PERIOD still wins when set, at least 1).
-  options.migration_period =
-      env_string("LCN_MIGRATION_PERIOD", "").empty()
-          ? 4
-          : std::max(1, options.migration_period);
+  // The comparison needs migration on, so LCN_MIGRATION_PERIOD=0 means 1.
+  options.migration_period = std::max(1, options.migration_period);
   const int k = options.islands;
-  std::printf("islands %d, migration period %d, tempering %s, SA scale %.2f "
-              "(LCN_ISLANDS / LCN_MIGRATION_PERIOD / LCN_PT / LCN_SA_SCALE)\n",
-              k, options.migration_period, options.tempering ? "on" : "off",
-              scale);
+  std::printf("islands %d, migration period %d, SA scale %.2f "
+              "(LCN_ISLANDS / LCN_MIGRATION_PERIOD / LCN_SA_SCALE)\n",
+              k, options.migration_period, scale);
 
   auto scaled = [&](int value) {
     return std::max(1, static_cast<int>(std::lround(value * scale)));
@@ -112,12 +105,9 @@ int islands() {
                        : cell_na(),
                    cell(seconds_pop, 2)});
     std::printf("case %d:\n%s", id, table.str().c_str());
-    std::printf("migrations %llu/%llu, pt swaps %llu/%llu, hypervolume "
-                "ratio %.3f\n",
+    std::printf("migrations %llu/%llu, hypervolume ratio %.3f\n",
                 static_cast<unsigned long long>(out_pop.migrations),
                 static_cast<unsigned long long>(out_pop.migration_attempts),
-                static_cast<unsigned long long>(out_pop.pt_swaps),
-                static_cast<unsigned long long>(out_pop.pt_swap_attempts),
                 ratio);
 
     if (!(hv_pop >= hv_single)) {

@@ -55,7 +55,6 @@ namespace lcn::instrument {
   X(trace_events_dropped, "Trace events lost to ring overflow")               \
   X(mg_vcycles, "Multigrid V-cycles; always 0, multigrid was removed")       \
   X(island_migrations, "Accepted island best-design migrations")              \
-  X(pt_swaps, "Accepted parallel-tempering swaps")                            \
   X(archive_inserts, "Pareto-archive frontier entries")                       \
   X(jobs_completed, "Scheduler jobs run to completion")                       \
   X(jobs_cancelled, "Scheduler jobs cancelled or timed out")                  \
@@ -66,7 +65,6 @@ namespace lcn::instrument {
   X(scenario_steps, "Dynamic-scenario engine steps")                          \
   X(eval_failures, "Solver failures scored as +inf")                          \
   X(deadline_misses, "Jobs cancelled by the watchdog past their deadline")    \
-  X(slo_breaches, "Completed jobs whose wall time exceeded LCN_SLO_SECONDS")  \
   X(jobs_rejected, "Jobs refused because the scheduler was shutting down")    \
   X(metrics_scrapes, "Snapshot requests served (metrics op + HTTP scrapes)")
 

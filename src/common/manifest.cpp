@@ -1,10 +1,12 @@
 #include "common/manifest.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "common/env.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 
 // Build configuration baked in by src/CMakeLists.txt; default for unity /
@@ -51,7 +53,8 @@ RunManifest build_manifest() {
   m.build_type = LCN_BUILD_TYPE;
   m.sanitizer = LCN_SANITIZE_CFG;
   m.compiler = __VERSION__;
-  m.lcn_threads = env_int("LCN_THREADS", 0);
+  m.lcn_threads =
+      static_cast<long>(parse_pool_threads(std::getenv("LCN_THREADS")));
   m.hardware_threads =
       static_cast<long>(std::thread::hardware_concurrency());
   m.trace_path = env_string("LCN_TRACE", "");

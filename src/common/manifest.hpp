@@ -27,7 +27,8 @@ struct RunManifest {
 };
 
 /// The process manifest, computed once on first use (the git lookup shells
-/// out) and stable for the life of the process.
+/// out) and stable for the life of the process. Throws RuntimeError naming
+/// LCN_THREADS when it is malformed, as the thread pool does.
 const RunManifest& run_manifest();
 
 }  // namespace lcn

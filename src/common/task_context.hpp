@@ -2,13 +2,12 @@
 //
 // One process now serves many concurrent jobs (src/service), so the state
 // that used to be implicitly process-wide — the telemetry shard (counters
-// and histograms), the flow-plan cache, cooperative cancellation, the job's
-// share of the thread pool, progress streaming — travels with the *task*
-// instead. A TaskContext
-// is installed on the submitting thread (ScopedTaskContext) and
-// the ThreadPool re-installs it on every worker that drains the
-// task's shards, so a kernel deep inside an SA neighbor evaluation bills its
-// counters to the right session no matter which thread runs it.
+// and histograms), cooperative cancellation, the job's share of the thread
+// pool, progress streaming — travels with the *task* instead. A TaskContext
+// is installed on the submitting thread (ScopedTaskContext) and the
+// ThreadPool re-installs it on every worker that drains the task's shards,
+// so a kernel deep inside an SA neighbor evaluation bills its counters to
+// the right session no matter which thread runs it.
 //
 // Everything here is optional: a null field means "process-wide behavior",
 // so single-job binaries (tests, benches, the CLI without --serve) run
@@ -22,8 +21,6 @@
 #include <string>
 
 namespace lcn {
-
-class FlowPlanCache;  // flow/flow_plan.hpp (common cannot include flow)
 
 namespace metrics {
 struct MetricShard;  // common/metrics.hpp
@@ -66,9 +63,6 @@ struct TaskContext {
   /// value of 0 means "whole pool". Atomic so the scheduler can rebalance a
   /// running job when others start or finish.
   const std::atomic<std::size_t>* pool_share = nullptr;
-  /// Per-session flow-plan cache shard; flow_plan_for() routes here when
-  /// set, the process-wide cache otherwise.
-  FlowPlanCache* flow_plans = nullptr;
   /// Per-session progress stream (daemon clients); sa_iter instants are
   /// mirrored here whether or not process-wide tracing is on.
   ProgressSink* progress = nullptr;

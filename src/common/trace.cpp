@@ -177,12 +177,13 @@ void flusher_loop() {
   }
 }
 
-/// The message of a malformed trace variable, "" when none is.
+/// The message of a malformed trace variable or a sink that failed to
+/// start, "" when there is none.
 std::string g_env_error;
 
 /// Applies the environment at process start: the level always, and the
 /// sink when LCN_TRACE names one, drained and closed at exit. Never throws;
-/// check_env() reports a malformed value.
+/// check_env() reports a malformed value or a sink that failed to start.
 struct EnvInit {
   EnvInit() {
     TraceConfig config;
@@ -202,7 +203,13 @@ struct EnvInit {
     set_level(level);
     config.path = env_string("LCN_TRACE", "");
     if (config.path.empty()) return;
-    start(config);
+    try {
+      start(config);
+    } catch (const RuntimeError& error) {
+      g_env_error = error.what();
+      LCN_WARN() << g_env_error << "; tracing stays off";
+      return;
+    }
     std::atexit([] { stop(); });
   }
 };
@@ -211,6 +218,9 @@ const EnvInit env_init;
 }  // namespace
 
 void start(const TraceConfig& config) {
+  // Built before any sink state changes: it throws on a malformed
+  // LCN_THREADS, and a throw must leave tracing off.
+  const std::string manifest = run_manifest().json();
   State& s = state();
   {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -230,7 +240,7 @@ void start(const TraceConfig& config) {
     // Manifest header: stamps the trace with the build/run provenance so
     // traces are comparable across the perf trajectory (DESIGN.md §S19).
     std::fprintf(s.sink, "{\"ph\":\"M\",\"name\":\"manifest\",\"args\":%s}\n",
-                 run_manifest().json().c_str());
+                 manifest.c_str());
     if (config.background_flush) {
       s.flusher_stop = false;
       // The new thread blocks on s.mutex until this lock releases.

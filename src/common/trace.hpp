@@ -81,13 +81,15 @@ struct TraceConfig {
 /// LCN_TRACE_LEVEL (1 or 2) and LCN_TRACE_RING (kMinRingCapacity to
 /// kMaxRingCapacity) are parsed once, strictly, at process start. A
 /// malformed value starts no sink, keeps kCoarse and logs a warning; then
-/// check_env() throws RuntimeError naming the variable. Entry points call
+/// check_env() throws RuntimeError naming the variable. A sink LCN_TRACE
+/// names that fails to start is reported the same way. Entry points call
 /// it before any work.
 void check_env();
 
 /// Open the sink, write the run-manifest header line, enable span
 /// recording at the current level. Throws lcn::RuntimeError when the sink
-/// cannot be opened. No-op when tracing is already active.
+/// cannot be opened or the manifest cannot be built (malformed
+/// LCN_THREADS). No-op when tracing is already active.
 void start(const TraceConfig& config);
 
 /// Disable span recording, drain every ring, close the sink. Safe to call

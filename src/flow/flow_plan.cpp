@@ -1,10 +1,12 @@
 #include "flow/flow_plan.hpp"
 
+#include <mutex>
 #include <queue>
+#include <unordered_map>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
-#include "common/task_context.hpp"
 
 namespace lcn {
 
@@ -96,6 +98,28 @@ std::shared_ptr<const FlowPlan> FlowPlan::analyze(const CoolingNetwork& net) {
   return plan;
 }
 
+namespace {
+
+/// The process-wide plan cache, keyed by CoolingNetwork::content_hash().
+/// Thread-safe: lookups and inserts serialize on an internal mutex; plans
+/// are immutable and handed out as shared_ptr, so clear() under concurrent
+/// readers is safe — a reader either resolved its plan before the clear
+/// (and keeps it alive through its shared_ptr) or rebuilds after it; it
+/// never observes a half-cleared entry.
+class FlowPlanCache {
+ public:
+  std::shared_ptr<const FlowPlan> plan_for(const CoolingNetwork& net);
+  void clear();
+
+ private:
+  std::mutex mutex_;
+  /// Hash bucket -> (network copy, plan). The copy disambiguates collisions.
+  std::unordered_map<std::uint64_t,
+                     std::vector<std::pair<CoolingNetwork,
+                                           std::shared_ptr<const FlowPlan>>>>
+      entries_;
+};
+
 std::shared_ptr<const FlowPlan> FlowPlanCache::plan_for(
     const CoolingNetwork& net) {
   const std::uint64_t key = net.content_hash();
@@ -138,24 +162,15 @@ void FlowPlanCache::clear() {
   }
 }
 
-std::size_t FlowPlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [key, bucket] : entries_) n += bucket.size();
-  return n;
-}
-
 FlowPlanCache& global_flow_plan_cache() {
   static FlowPlanCache cache;
   return cache;
 }
 
+}  // namespace
+
 std::shared_ptr<const FlowPlan> flow_plan_for(const CoolingNetwork& net) {
-  const TaskContext* ctx = current_task_context();
-  FlowPlanCache& cache = ctx != nullptr && ctx->flow_plans != nullptr
-                             ? *ctx->flow_plans
-                             : global_flow_plan_cache();
-  return cache.plan_for(net);
+  return global_flow_plan_cache().plan_for(net);
 }
 
 void flow_plan_cache_clear() { global_flow_plan_cache().clear(); }

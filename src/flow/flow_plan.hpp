@@ -8,13 +8,10 @@
 // symbolic work (liquid indexing, port-reachability check, COO→CSR analysis)
 // once per distinct network, so each subsequent solve is a numeric refill.
 //
-// Plans are held in FlowPlanCache instances keyed by
+// Plans are held in one process-wide cache keyed by
 // CoolingNetwork::content_hash() and verified against a stored copy of the
 // network with operator== — a hash collision degrades to a rebuild, never to
-// a wrong plan. One process-wide cache serves single-job binaries; service
-// sessions (DESIGN.md §S22) may own a private shard instead, routed through
-// the calling thread's TaskContext, so one tenant's cache churn (or clear)
-// never touches another's.
+// a wrong plan. Concurrent service sessions (DESIGN.md §S22) share it.
 //
 // Bit-identity contract: every solve refills the plan, and a refill equals
 // the plan's first assembly (see SparsityPlan's contract). The pattern never
@@ -24,9 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "network/cooling_network.hpp"
@@ -67,47 +61,16 @@ struct FlowPlan {
   static std::shared_ptr<const FlowPlan> analyze(const CoolingNetwork& net);
 };
 
-/// One flow-plan cache shard. Thread-safe: lookups and inserts serialize on
-/// an internal mutex; plans are immutable and handed out as shared_ptr, so
-/// clear() under concurrent readers is safe — a reader either resolved its
-/// plan before the clear (and keeps it alive through its shared_ptr) or
-/// rebuilds after it; it never observes a half-cleared entry.
-class FlowPlanCache {
- public:
-  /// Look up (or build and cache) the plan for `net`. Bumps the
-  /// flow_plan_hits / flow_plan_misses instrument counters. Failed analyses
-  /// (degenerate networks) are not cached and rethrow on every call.
-  std::shared_ptr<const FlowPlan> plan_for(const CoolingNetwork& net);
-
-  /// Drop every cached plan. In-flight solves holding a plan shared_ptr are
-  /// unaffected; subsequent lookups rebuild.
-  void clear();
-
-  /// Distinct cached plans (collision-bucket entries counted individually).
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  /// Hash bucket -> (network copy, plan). The copy disambiguates collisions.
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<CoolingNetwork,
-                                           std::shared_ptr<const FlowPlan>>>>
-      entries_;
-};
-
-/// The process-wide cache (single-job binaries, sessions without a private
-/// shard).
-FlowPlanCache& global_flow_plan_cache();
-
-/// Look up (or build and cache) the plan for `net` in the calling thread's
-/// session shard when its TaskContext carries one (§S22), in the
-/// process-wide cache otherwise.
+/// Look up (or build and cache) the plan for `net` in the process-wide
+/// cache. Bumps the flow_plan_hits / flow_plan_misses instrument counters.
+/// Failed analyses (degenerate networks) are not cached and rethrow on every
+/// call.
 std::shared_ptr<const FlowPlan> flow_plan_for(const CoolingNetwork& net);
 
-/// Drop every plan in the *process-wide* cache (test hook; also useful to
-/// bound memory in long-running processes that churn through many distinct
-/// networks). Safe under concurrent readers — see FlowPlanCache::clear().
-/// Session shards are owned and cleared by their SessionContext instead.
+/// Drop every cached plan (test hook; also useful to bound memory in
+/// long-running processes that churn through many distinct networks). Safe
+/// under concurrent readers: in-flight solves holding a plan shared_ptr are
+/// unaffected, and subsequent lookups rebuild.
 void flow_plan_cache_clear();
 
 }  // namespace lcn

@@ -27,46 +27,10 @@ class Fnv {
 
 }  // namespace
 
-std::uint64_t problem_fingerprint(const CoolingProblem& problem) {
-  Fnv fnv;
-  fnv.mix(static_cast<std::uint64_t>(problem.grid.rows()));
-  fnv.mix(static_cast<std::uint64_t>(problem.grid.cols()));
-  fnv.mix_double(problem.grid.pitch());
-  fnv.mix(static_cast<std::uint64_t>(problem.stack.layer_count()));
-  for (int l = 0; l < problem.stack.layer_count(); ++l) {
-    const Layer& layer = problem.stack.layer(l);
-    fnv.mix(static_cast<std::uint64_t>(layer.kind));
-    fnv.mix_double(layer.thickness);
-    fnv.mix_double(layer.material.conductivity);
-    fnv.mix_double(layer.material.volumetric_heat);
-  }
-  for (const PowerMap& map : problem.source_power) {
-    for (const double w : map.cells()) fnv.mix_double(w);
-  }
-  fnv.mix_double(problem.coolant.dynamic_viscosity);
-  fnv.mix_double(problem.coolant.conductivity);
-  fnv.mix_double(problem.coolant.volumetric_heat);
-  fnv.mix_double(problem.coolant.nusselt);
-  fnv.mix_double(problem.inlet_temperature);
-  fnv.mix_double(problem.ambient_conductance);
-  fnv.mix_double(problem.ambient_temperature);
-  // Flow options change the solved field (reliability fault injection scales
-  // per-cell conductances through them), so they are part of the identity.
-  fnv.mix_double(problem.flow_options.edge_conductance_factor);
-  fnv.mix_double(problem.flow_options.rel_tolerance);
-  fnv.mix(problem.flow_options.cell_conductance_scale.size());
-  for (const double s : problem.flow_options.cell_conductance_scale) {
-    fnv.mix_double(s);
-  }
-  return fnv.value();
-}
-
-EvalCacheKey make_eval_key(std::uint64_t problem_fp,
-                           const CoolingNetwork& network,
+EvalCacheKey make_eval_key(const CoolingNetwork& network,
                            const SimConfig& sim, EvalMode mode,
                            double pressure) {
   Fnv fnv;
-  fnv.mix(problem_fp);
   fnv.mix(static_cast<std::uint64_t>(sim.model));
   fnv.mix(static_cast<std::uint64_t>(sim.thermal_cell));
   fnv.mix(static_cast<std::uint64_t>(mode));

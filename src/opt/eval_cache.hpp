@@ -6,10 +6,9 @@
 // regenerate a layout seen a few iterations ago. A full network evaluation
 // costs several assemblies + Krylov solves, so repeats are cached under a
 // content hash of (realized network, thermal model, evaluation mode, fixed
-// pressure) mixed with a fingerprint of the cooling problem — changing the
-// network, the stack, or the power maps changes the key and naturally
-// invalidates stale entries. Evaluations are deterministic (bit-identical
-// for any thread count), so a cached result equals a fresh one exactly.
+// pressure). The problem is not part of the key: each optimizer owns one
+// cache over one problem. Evaluations are deterministic (bit-identical for
+// any thread count), so a cached result equals a fresh one exactly.
 #pragma once
 
 #include <atomic>
@@ -22,20 +21,14 @@
 
 namespace lcn {
 
-/// Stable fingerprint of the fixed problem inputs (grid, stack, power maps,
-/// coolant, boundary conditions). Two optimizers over different problems can
-/// never alias cache entries even with identical networks.
-std::uint64_t problem_fingerprint(const CoolingProblem& problem);
-
 struct EvalCacheKey {
   std::uint64_t network = 0;  ///< CoolingNetwork::content_hash()
-  std::uint64_t context = 0;  ///< problem fp ⊕ sim config ⊕ mode ⊕ pressure
+  std::uint64_t context = 0;  ///< sim config ⊕ mode ⊕ pressure
 
   friend bool operator==(const EvalCacheKey&, const EvalCacheKey&) = default;
 };
 
-EvalCacheKey make_eval_key(std::uint64_t problem_fp,
-                           const CoolingNetwork& network,
+EvalCacheKey make_eval_key(const CoolingNetwork& network,
                            const SimConfig& sim, EvalMode mode,
                            double pressure = 0.0);
 

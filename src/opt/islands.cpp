@@ -23,8 +23,7 @@ IslandOptions island_options_from_env() {
       parse_env_int("LCN_ISLANDS", std::getenv("LCN_ISLANDS"), 4, 1, 1024));
   options.migration_period = static_cast<int>(
       parse_env_int("LCN_MIGRATION_PERIOD",
-                    std::getenv("LCN_MIGRATION_PERIOD"), 8, 0, 1'000'000));
-  options.tempering = env_flag("LCN_PT");
+                    std::getenv("LCN_MIGRATION_PERIOD"), 4, 0, 1'000'000));
   return options;
 }
 
@@ -34,8 +33,6 @@ IslandOptimizer::IslandOptimizer(const BenchmarkCase& bench,
                                  std::uint64_t seed)
     : base_(bench, objective, seed), options_(options) {
   LCN_REQUIRE(options_.islands >= 1, "need at least one island");
-  LCN_REQUIRE(options_.tempering_spread > 0.0,
-              "tempering spread must be positive");
 }
 
 IslandOutcome IslandOptimizer::run(const std::vector<SaStage>& stages) {
@@ -87,7 +84,6 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
   LCN_REQUIRE(options_.islands >= 1, "need at least one island");
   const int K = options_.islands;
   const bool migrate = K > 1 && options_.migration_period > 0;
-  const bool temper = K > 1 && options_.tempering;
 
   // Per-session progress stream (§S22): when the job runs under a service
   // session with a sink, every sa_iter record is mirrored there — whether or
@@ -106,9 +102,9 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
   IslandOutcome out;
   DesignOutcome& outcome = out.best;
 
-  // Migration donors and tempering swaps draw from this stream only, on this
-  // thread only; chain streams never see communication draws, so a K=1 run
-  // (which never touches it) is the plain single-chain trajectory.
+  // Migration donors draw from this stream only, on this thread only; chain
+  // streams never see communication draws, so a K=1 run (which never
+  // touches it) is the plain single-chain trajectory.
   Rng comm_rng(SplitMix64(opt_.seed_ ^ kCommSalt).next());
 
   // Every feasible main-thread evaluation feeds the archive; insertion order
@@ -247,8 +243,8 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
     };
 
     // Multi-round SA; rounds differ only in the random seed (§4.4). Rounds
-    // run in lockstep across islands so migration/tempering partners are
-    // always at the same (round, iteration).
+    // run in lockstep across islands so migration partners are always at
+    // the same (round, iteration).
     struct RoundBest {
       TreeLayout layout;
       double score = kInf;
@@ -295,17 +291,11 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
         }
         cr.state_score = state_eval.score;
         cr.best = {cr.state, cr.state_score};
-        // Geometric temperature schedule anchored to the initial score; with
-        // tempering on, replica i starts spread^(i/(K-1)) hotter so the
-        // ladder spans exploration to refinement.
+        // Geometric temperature schedule anchored to the initial score.
         const double anchor = std::isfinite(cr.state_score)
                                   ? std::max(std::abs(cr.state_score), 1e-6)
                                   : 1.0;
         cr.temperature = 0.3 * anchor;
-        if (temper) {
-          cr.temperature *= std::pow(options_.tempering_spread,
-                                     static_cast<double>(i) / (K - 1));
-        }
       }
 
       for (int iter = 0; iter < stage.iterations; ++iter) {
@@ -429,35 +419,6 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
           cr.temperature *= alpha;
         }
 
-        // Parallel tempering: adjacent replicas attempt a Metropolis swap of
-        // temperatures, alternating pair parity so every boundary is tried
-        // every other iteration. States stay put; only temperatures move.
-        if (temper) {
-          for (int j = iter % 2; j + 1 < K; j += 2) {
-            ChainRound& lo = chains[static_cast<std::size_t>(j)];
-            ChainRound& hi = chains[static_cast<std::size_t>(j + 1)];
-            ++out.pt_swap_attempts;
-            const double u = comm_rng.next_double();
-            bool accept = false;
-            if (std::isfinite(lo.state_score) &&
-                std::isfinite(hi.state_score) && lo.temperature > 0.0 &&
-                hi.temperature > 0.0) {
-              const double delta =
-                  (1.0 / lo.temperature - 1.0 / hi.temperature) *
-                  (lo.state_score - hi.state_score);
-              accept = delta >= 0.0 || u < std::exp(delta);
-            }
-            if (accept) {
-              std::swap(lo.temperature, hi.temperature);
-              ++out.pt_swaps;
-              instrument::add(instrument::Counter::pt_swaps);
-            }
-            out.events.push_back({CommEvent::Kind::kPtSwap,
-                                  static_cast<int>(stage_idx), round, iter, j,
-                                  j + 1, accept});
-          }
-        }
-
         // Migration: each island may adopt the round-best of a donor drawn
         // from the communication stream, accepted only on strict
         // improvement over the receiver's current state.
@@ -481,8 +442,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
               ++out.migrations;
               instrument::add(instrument::Counter::island_migrations);
             }
-            out.events.push_back({CommEvent::Kind::kMigration,
-                                  static_cast<int>(stage_idx), round, iter,
+            out.events.push_back({static_cast<int>(stage_idx), round, iter,
                                   donor, i, accept});
           }
         }

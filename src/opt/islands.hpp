@@ -4,13 +4,10 @@
 // The paper's Algorithm 1 anneals a single chain; the island model runs K
 // chains in lockstep over the same staged schedule, sharing the
 // content-hash evaluator cache (§S10) so any design reached by two chains
-// is only ever evaluated once. Chains communicate two ways, both opt-in:
-//  - migration: every `migration_period` iterations each island may adopt
-//    the round-best design of a donor island drawn from a dedicated
-//    communication rng stream (accepted only when strictly better);
-//  - parallel tempering: adjacent replicas attempt a Metropolis swap of
-//    their current annealing temperatures every iteration (alternating
-//    pair parity), so hot replicas explore while cold replicas refine.
+// is only ever evaluated once. Chains communicate by migration: every
+// `migration_period` iterations each island may adopt the round-best design
+// of a donor island drawn from a dedicated communication rng stream
+// (accepted only when strictly better).
 //
 // Determinism contract (tests/islands_test.cpp): every chain derives its
 // rng from (seed, island) — island 0's stream IS the plain single-chain
@@ -18,7 +15,7 @@
 // neighbor) per chain exactly as in §S10, and all communication draws come
 // from one dedicated stream consumed on the coordinating thread only. The
 // whole run — best design, per-island outcomes, Pareto archive contents,
-// migration/swap logs — is therefore a pure function of the seed,
+// migration log — is therefore a pure function of the seed,
 // bit-identical at any `LCN_THREADS`. With K=1 the engine reproduces
 // `TreeTopologyOptimizer::run` exactly; in fact the plain optimizer
 // delegates to this engine, so the equivalence is structural.
@@ -38,29 +35,21 @@ struct IslandOptions {
   int islands = 1;
   /// Iterations between migration attempts; 0 disables migration.
   int migration_period = 0;
-  /// Opt-in parallel tempering: adjacent replicas attempt temperature
-  /// swaps every iteration (alternating pair parity).
-  bool tempering = false;
-  /// Temperature ratio between the hottest and coldest replica when
-  /// tempering is on (replica i starts at spread^(i/(K-1)) × base).
-  double tempering_spread = 4.0;
 };
 
 /// Options from the environment: LCN_ISLANDS (1-1024, default 4),
-/// LCN_MIGRATION_PERIOD (0-1000000, default 8), LCN_PT (default off).
+/// LCN_MIGRATION_PERIOD (0-1000000, default 4).
 IslandOptions island_options_from_env();
 
-/// One communication attempt, in coordinating-thread order. The log is part
-/// of the determinism contract: two runs from the same seed produce equal
+/// One migration attempt, in coordinating-thread order. The log is part of
+/// the determinism contract: two runs from the same seed produce equal
 /// logs, at any thread count.
 struct CommEvent {
-  enum class Kind : std::uint8_t { kMigration = 0, kPtSwap = 1 };
-  Kind kind = Kind::kMigration;
   int stage = 0;
   int round = 0;
   int iter = 0;
-  int from = 0;  ///< donor island (migration) / lower replica (swap)
-  int to = 0;    ///< receiving island (migration) / upper replica (swap)
+  int from = 0;  ///< donor island
+  int to = 0;    ///< receiving island
   bool accepted = false;
   friend bool operator==(const CommEvent&, const CommEvent&) = default;
 };
@@ -74,11 +63,9 @@ struct IslandOutcome {
   /// Per-island sign-off results, indexed by island.
   std::vector<std::uint64_t> island_designs;  ///< network content hashes
   std::vector<double> island_scores;
-  /// Communication accounting (accepted / attempted).
+  /// Migration accounting (accepted / attempted).
   std::uint64_t migrations = 0;
   std::uint64_t migration_attempts = 0;
-  std::uint64_t pt_swaps = 0;
-  std::uint64_t pt_swap_attempts = 0;
   std::vector<CommEvent> events;
   /// Every feasible evaluation of the run, frontier-filtered (§S21).
   ParetoArchive archive;

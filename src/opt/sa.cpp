@@ -88,8 +88,7 @@ TreeTopologyOptimizer::TreeTopologyOptimizer(const BenchmarkCase& bench,
                                              DesignObjective objective,
                                              std::uint64_t seed)
     : bench_(bench), constraints_(bench.constraints), seed_(seed),
-      full_mode_(full_mode(objective)),
-      problem_fp_(problem_fingerprint(bench.problem)) {
+      full_mode_(full_mode(objective)) {
   rules_.forbidden = bench_.forbidden;
   if (objective == DesignObjective::kThermalGradient &&
       constraints_.w_pump_max <= 0.0) {
@@ -120,8 +119,7 @@ EvalResult TreeTopologyOptimizer::evaluate_network(
     return EvalResult::infeasible_result();
   }
   const EvalMode resolved = mode.value_or(full_mode_);
-  const EvalCacheKey key = make_eval_key(problem_fp_, network, sim,
-                                         resolved, pressure);
+  const EvalCacheKey key = make_eval_key(network, sim, resolved, pressure);
   if (design != nullptr) *design = key.network;
   if (const auto cached = cache_.find(key)) return *cached;
   const EvalResult result = evaluate(bench_.problem, network, constraints_,

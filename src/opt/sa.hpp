@@ -131,7 +131,6 @@ class TreeTopologyOptimizer {
   EvalMode full_mode_;  ///< kFullP1 or kFullP2, from the objective
   DesignRules rules_;   ///< DRC with the case's restricted region
   PressureSearchOptions search_options_;
-  std::uint64_t problem_fp_;
   mutable EvaluatorCache cache_;
 };
 

@@ -80,10 +80,18 @@ bool parse_submit(const JsonObject& obj, JobRequest& job, std::string& error) {
     error = "scenarios must be non-negative";
     return false;
   }
-  job.shares = static_cast<int>(obj.get_int("shares", 0));
-  job.priority = static_cast<int>(obj.get_int("priority", 0));
+  const long shares = obj.get_int("shares", 0);
+  if (shares < 0 || shares > kMaxJobShares) {
+    error = "shares must be in [0, 1024]";
+    return false;
+  }
+  job.shares = static_cast<int>(shares);
   job.timeout_seconds = obj.get_number("timeout", 0.0);
-  job.private_flow_plans = obj.get_bool("private_flow_plans", false);
+  if (!(job.timeout_seconds >= 0.0 &&
+        job.timeout_seconds <= kMaxTimeoutSeconds)) {
+    error = "timeout must be in [0, 1e6] seconds";
+    return false;
+  }
   return true;
 }
 

@@ -2,9 +2,14 @@
 //
 // Requests are flat JSON objects, one per line:
 //   {"op":"submit","kind":"design","case":2,"objective":"p1","scale":0.05,
-//    "seed":7,"shares":2,"priority":0,"timeout":30,"stream":true}
+//    "seed":7,"shares":2,"timeout":30,"stream":true}
 //   {"op":"status","job":3}   {"op":"result","job":3}   {"op":"cancel","job":3}
 //   {"op":"list"}   {"op":"ping"}   {"op":"metrics"}   {"op":"shutdown"}
+//
+// A submit's "shares" (fair-share weight, 0 weighs 1) must lie in [0, 1024]
+// and its "timeout" (seconds, 0 = none) in [0, 1e6]; a value outside is
+// rejected with an error naming the field. Queued jobs start in submission
+// order. Keys the parser does not know are ignored.
 //
 // Responses are one JSON object per line with "ok":true|false. A streaming
 // submit additionally receives "event" lines ({"event":"sa_iter",...},

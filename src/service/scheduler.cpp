@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
@@ -19,11 +20,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int resolve_shares(int requested) {
-  if (requested > 0) return requested;
-  const long env = env_int("LCN_JOB_SHARES", 1);
-  return env > 0 ? static_cast<int>(env) : 1;
-}
+int resolve_shares(int requested) { return requested > 0 ? requested : 1; }
 
 /// The canonical uniform layout the SA starts from (sa.cpp initial_layout):
 /// branches at cols/3 and 2*cols/3, rounded down to even.
@@ -98,10 +95,10 @@ struct Scheduler::Job {
 };
 
 Scheduler::Scheduler(Options options) {
-  pool_width_ = std::max<std::size_t>(1, global_pool_threads());
   retain_jobs_ = static_cast<std::size_t>(
-      std::max(1L, env_int("LCN_JOB_HISTORY", 1024)));
-  slo_seconds_ = std::max(0.0, env_double("LCN_SLO_SECONDS", 0.0));
+      parse_env_int("LCN_JOB_HISTORY", std::getenv("LCN_JOB_HISTORY"), 1024,
+                    1, 1'000'000));
+  pool_width_ = std::max<std::size_t>(1, global_pool_threads());
   const auto hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   max_running_ =
       options.max_running != 0
@@ -146,6 +143,11 @@ Scheduler::~Scheduler() {
 }
 
 std::uint64_t Scheduler::submit(JobRequest request, ProgressSink* sink) {
+  LCN_REQUIRE(request.shares >= 0 && request.shares <= kMaxJobShares,
+              "job shares must be in [0, 1024]");
+  LCN_REQUIRE(request.timeout_seconds >= 0.0 &&
+                  request.timeout_seconds <= kMaxTimeoutSeconds,
+              "job timeout must be in [0, 1e6] seconds");
   std::lock_guard<std::mutex> lock(mutex_);
   if (!accepting_) {
     instrument::add(instrument::Counter::jobs_rejected);
@@ -309,18 +311,8 @@ void Scheduler::runner_loop() {
         if (stop_) return;
         continue;
       }
-      // Highest priority first, submission order within a priority.
-      std::size_t pick = 0;
-      for (std::size_t i = 1; i < queue_.size(); ++i) {
-        const Job* a = find_locked(queue_[i]);
-        const Job* b = find_locked(queue_[pick]);
-        if (a != nullptr && b != nullptr &&
-            a->request.priority > b->request.priority) {
-          pick = i;
-        }
-      }
-      const std::uint64_t id = queue_[pick];
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+      const std::uint64_t id = queue_.front();
+      queue_.erase(queue_.begin());
       job = find_locked(id);
       if (job == nullptr) continue;
 
@@ -328,7 +320,6 @@ void Scheduler::runner_loop() {
       config.name = job->request.name;
       config.seed = job->request.seed;
       config.shares = resolve_shares(job->request.shares);
-      config.private_flow_plans = job->request.private_flow_plans;
       job->session = std::make_unique<SessionContext>(id, config);
       job->session->set_progress_sink(job->sink);
       job->status = JobStatus::kRunning;
@@ -510,9 +501,6 @@ void Scheduler::execute(Job& job) {
   // Billed under the session scope, so the job's own shard carries its
   // latency too; snapshotted below so the result reflects it.
   metrics::observe(job_latency_hist(job.request.kind), local.seconds);
-  if (slo_seconds_ > 0.0 && local.seconds > slo_seconds_) {
-    instrument::add(instrument::Counter::slo_breaches);
-  }
   local.error = error;
   local.metrics = session.telemetry().snapshot();
   local.counters = local.metrics.counters;

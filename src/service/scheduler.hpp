@@ -1,8 +1,8 @@
 // Fair-share job scheduler (DESIGN.md §S22, layer 2 of the serving stack).
 //
-// Jobs (design / evaluate / sweep / scenario) are queued with a priority and a
-// fair-share weight. A small set of runner threads executes one job each;
-// every running job gets a SessionContext whose pool_share is
+// Jobs (design / evaluate / sweep / scenario) are queued in submission order
+// with a fair-share weight. A small set of runner threads executes one job
+// each; every running job gets a SessionContext whose pool_share is
 // max(1, W * weight / total_weight) of the LCN_THREADS pool width, recomputed
 // whenever a job starts or finishes. Only design jobs (SA neighbours) and
 // sweep jobs (fault scenarios) fan out over the pool, each over at most its
@@ -38,6 +38,12 @@ enum class JobKind : std::uint8_t {
 
 const char* job_kind_name(JobKind kind);
 
+/// Bounds on a request's fair-share weight and deadline. They keep the
+/// running jobs' weight sum inside an int and the deadline inside
+/// steady_clock's range.
+constexpr int kMaxJobShares = 1024;
+constexpr double kMaxTimeoutSeconds = 1e6;
+
 enum class JobStatus : std::uint8_t {
   kQueued = 0,
   kRunning = 1,
@@ -66,15 +72,11 @@ struct JobRequest {
   /// Scenario jobs: the NDJSON scenario description (scenario_io.hpp). Wire
   /// clients pass it as one escaped string; parsed when the job runs.
   std::string scenario_text;
-  /// Fair-share weight; 0 resolves to LCN_JOB_SHARES (default 1).
+  /// Fair-share weight in [0, kMaxJobShares]; 0 weighs 1.
   int shares = 0;
-  int priority = 0;  ///< higher runs first among queued jobs
-  /// Wall-clock deadline; <= 0 means none. Expiry cancels the job (status
-  /// kCancelled, error "deadline exceeded").
+  /// Wall-clock deadline in [0, kMaxTimeoutSeconds]; 0 means none. Expiry
+  /// cancels the job (status kCancelled, error "deadline exceeded").
   double timeout_seconds = 0.0;
-  /// Give the session its own flow-plan cache shard instead of the shared
-  /// process-wide one (satellite: per-session plan ownership).
-  bool private_flow_plans = false;
 
   // In-process embedding hooks (tests, benches). Not reachable from the wire
   // protocol: clients always run the published ICCAD cases and schedules.
@@ -131,6 +133,8 @@ class Scheduler {
   };
 
   Scheduler() : Scheduler(Options{}) {}
+  /// Throws RuntimeError naming LCN_JOB_HISTORY when it is not an integer
+  /// in [1, 1000000].
   explicit Scheduler(Options options);
   /// Cancels everything still queued or running, then joins the runners.
   ~Scheduler();
@@ -141,6 +145,8 @@ class Scheduler {
   /// Queue a job. `sink` (optional) streams the job's sa_iter progress and
   /// lifecycle events; it must stay alive until the job reaches a terminal
   /// status. Returns the job id, or 0 when the scheduler is draining.
+  /// Throws ContractError when `shares` or `timeout_seconds` is out of
+  /// bounds.
   std::uint64_t submit(JobRequest request, ProgressSink* sink = nullptr);
 
   /// Cancel a job: a queued job completes immediately as kCancelled, a
@@ -188,7 +194,6 @@ class Scheduler {
   std::size_t max_running_ = 2;
   std::size_t pool_width_ = 1;
   std::size_t retain_jobs_ = 1024;  ///< LCN_JOB_HISTORY
-  double slo_seconds_ = 0.0;        ///< LCN_SLO_SECONDS (0 = no SLO)
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;      ///< runners: queue or stop changed

@@ -1,24 +1,22 @@
 // Per-session state isolation (DESIGN.md §S22, layer 1 of the serving stack).
 //
 // A SessionContext bundles every piece of formerly process-wide mutable state
-// one job needs: a telemetry shard, an optional private flow-plan cache, the
-// cooperative cancellation flag, the job's fair share of the pool, and the
-// progress sink streaming sa_iter events back to the submitting client. The
-// scheduler installs the session's TaskContext on the runner thread for the
-// job's whole lifetime; the ThreadPool propagates it to every
-// worker, so concurrent jobs never observe each other's state and results are
-// bit-identical to running the same job alone in a fresh process.
+// one job needs: a telemetry shard, the cooperative cancellation flag, the
+// job's fair share of the pool, and the progress sink streaming sa_iter
+// events back to the submitting client. The scheduler installs the session's
+// TaskContext on the runner thread for the job's whole lifetime; the
+// ThreadPool propagates it to every worker, so concurrent jobs never observe
+// each other's state and results are bit-identical to running the same job
+// alone in a fresh process.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/metrics.hpp"
 #include "common/task_context.hpp"
-#include "flow/flow_plan.hpp"
 
 namespace lcn::service {
 
@@ -26,10 +24,6 @@ struct SessionConfig {
   std::string name;        ///< client-visible label, "" for anonymous
   std::uint64_t seed = 1;  ///< job rng seed (recorded in the manifest)
   int shares = 1;          ///< fair-share weight relative to other jobs
-  /// Private flow-plan shard: plan_for misses analyze into the session's own
-  /// cache instead of the shared one. Costs recomputation across sessions but
-  /// guarantees a tenant's clear() never touches anyone else's entries.
-  bool private_flow_plans = false;
 };
 
 /// All mutable state owned by one job, plus the TaskContext pointing into it.
@@ -47,9 +41,6 @@ class SessionContext {
 
   /// The session's counters and histograms (one shard, §S24).
   metrics::MetricShard& telemetry() { return telemetry_; }
-  /// The session's private flow-plan shard, nullptr when it shares the
-  /// process-wide cache.
-  FlowPlanCache* flow_plans() { return flow_plans_.get(); }
 
   void request_cancel() { cancel_.store(true, std::memory_order_relaxed); }
   bool cancel_requested() const {
@@ -81,7 +72,6 @@ class SessionContext {
   std::uint64_t id_;
   SessionConfig config_;
   metrics::MetricShard telemetry_;
-  std::unique_ptr<FlowPlanCache> flow_plans_;
   std::atomic<bool> cancel_{false};
   std::atomic<std::size_t> pool_share_{0};
   TaskContext ctx_;

@@ -1,7 +1,6 @@
 #include "sparse/csr.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/instrument.hpp"
@@ -61,43 +60,6 @@ Vector CsrMatrix::multiply(const Vector& x) const {
   Vector y;
   multiply(x, y);
   return y;
-}
-
-double CsrMatrix::at(std::size_t row, std::size_t col) const {
-  LCN_REQUIRE(row < rows_ && col < cols_, "at: index out of range");
-  const auto begin = col_idx_->begin() + static_cast<std::ptrdiff_t>((*row_ptr_)[row]);
-  const auto end = col_idx_->begin() + static_cast<std::ptrdiff_t>((*row_ptr_)[row + 1]);
-  const auto it = std::lower_bound(begin, end, col);
-  if (it == end || *it != col) return 0.0;
-  return values_[static_cast<std::size_t>(it - col_idx_->begin())];
-}
-
-Vector CsrMatrix::diagonal() const {
-  Vector d(rows_, 0.0);
-  const std::size_t n = std::min(rows_, cols_);
-  for (std::size_t r = 0; r < n; ++r) d[r] = at(r, r);
-  return d;
-}
-
-double CsrMatrix::symmetry_gap() const {
-  LCN_REQUIRE(rows_ == cols_, "symmetry_gap requires a square matrix");
-  double gap = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = (*row_ptr_)[r]; k < (*row_ptr_)[r + 1]; ++k) {
-      gap = std::max(gap, std::abs(values_[k] - at((*col_idx_)[k], r)));
-    }
-  }
-  return gap;
-}
-
-std::vector<double> CsrMatrix::to_dense() const {
-  std::vector<double> dense(rows_ * cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = (*row_ptr_)[r]; k < (*row_ptr_)[r + 1]; ++k) {
-      dense[r * cols_ + (*col_idx_)[k]] += values_[k];
-    }
-  }
-  return dense;
 }
 
 }  // namespace lcn::sparse

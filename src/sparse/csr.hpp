@@ -66,19 +66,6 @@ class CsrMatrix {
   void multiply(const Vector& x, Vector& y) const;
   Vector multiply(const Vector& x) const;
 
-  /// Entry lookup (binary search within the row); zero if absent.
-  double at(std::size_t row, std::size_t col) const;
-
-  /// Main diagonal (zero where absent).
-  Vector diagonal() const;
-
-  /// max |A(i,j) - A(j,i)| — used by tests to assert SPD-ness of the flow
-  /// matrix and quantify the asymmetry the advection terms introduce.
-  double symmetry_gap() const;
-
-  /// Dense copy (row-major), for small reference checks only.
-  std::vector<double> to_dense() const;
-
  private:
   /// Shared empty structure backing default-constructed matrices.
   static const SharedIndexes& empty_indexes();

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "csr_inspect.hpp"
 
 namespace lcn::sparse {
 
@@ -11,7 +12,7 @@ DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols, double fill)
 
 DenseMatrix DenseMatrix::from_csr(const CsrMatrix& a) {
   DenseMatrix m(a.rows(), a.cols());
-  const auto dense = a.to_dense();
+  const auto dense = csr_to_dense(a);
   for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t c = 0; c < a.cols(); ++c) {
       m(r, c) = dense[r * a.cols() + c];

@@ -1,7 +1,7 @@
 // Evaluator-cache tests (DESIGN.md §S10): content-hash stability, hit/miss
-// accounting, key invalidation when the network or the problem changes, and
-// the property that a cached evaluation is indistinguishable from a fresh
-// one.
+// accounting, key invalidation when the network, model, mode or pressure
+// changes, and the property that a cached evaluation is indistinguishable
+// from a fresh one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,62 +62,39 @@ TEST(ContentHash, TransformRoundTripPreservesHash) {
 
 TEST(EvalCacheKey, ChangesWithNetworkModeModelAndPressure) {
   const BenchmarkCase bench = small_case();
-  const std::uint64_t fp = problem_fingerprint(bench.problem);
   const CoolingNetwork net = make_straight_channels(bench.problem.grid);
 
-  const EvalCacheKey base =
-      make_eval_key(fp, net, fast_sim(), EvalMode::kFullP1);
-  EXPECT_EQ(base, make_eval_key(fp, net, fast_sim(), EvalMode::kFullP1));
+  const EvalCacheKey base = make_eval_key(net, fast_sim(), EvalMode::kFullP1);
+  EXPECT_EQ(base, make_eval_key(net, fast_sim(), EvalMode::kFullP1));
 
   // Different network (an extra carved cell on a solid site).
   CoolingNetwork a(bench.problem.grid);
   a.set_liquid(0, 0);
   CoolingNetwork b(bench.problem.grid);
   b.set_liquid(0, 2);
-  EXPECT_FALSE(make_eval_key(fp, a, fast_sim(), EvalMode::kFullP1) ==
-               make_eval_key(fp, b, fast_sim(), EvalMode::kFullP1));
+  EXPECT_FALSE(make_eval_key(a, fast_sim(), EvalMode::kFullP1) ==
+               make_eval_key(b, fast_sim(), EvalMode::kFullP1));
   // Different evaluation mode.
-  EXPECT_FALSE(base == make_eval_key(fp, net, fast_sim(),
-                                     EvalMode::kFullP2));
+  EXPECT_FALSE(base == make_eval_key(net, fast_sim(), EvalMode::kFullP2));
   // Different thermal model config.
-  EXPECT_FALSE(base == make_eval_key(fp, net,
-                                     SimConfig{ThermalModelKind::k2RM, 4},
+  EXPECT_FALSE(base == make_eval_key(net, SimConfig{ThermalModelKind::k2RM, 4},
                                      EvalMode::kFullP1));
   // Fixed-pressure modes key on the operating point ...
-  const EvalCacheKey at2k = make_eval_key(fp, net, fast_sim(),
+  const EvalCacheKey at2k = make_eval_key(net, fast_sim(),
                                           EvalMode::kFixedPressure, 2000.0);
-  const EvalCacheKey at3k = make_eval_key(fp, net, fast_sim(),
+  const EvalCacheKey at3k = make_eval_key(net, fast_sim(),
                                           EvalMode::kFixedPressure, 3000.0);
   EXPECT_FALSE(at2k == at3k);
   // ... but full searches ignore the hint pressure.
-  EXPECT_EQ(base, make_eval_key(fp, net, fast_sim(), EvalMode::kFullP1,
+  EXPECT_EQ(base, make_eval_key(net, fast_sim(), EvalMode::kFullP1,
                                 5000.0));
-}
-
-TEST(ProblemFingerprint, InvalidatesOnStackAndPowerChanges) {
-  const BenchmarkCase bench = small_case();
-  const std::uint64_t base = problem_fingerprint(bench.problem);
-
-  BenchmarkCase thicker = small_case();
-  thicker.problem.stack = make_interlayer_stack(2, 250e-6);
-  EXPECT_NE(base, problem_fingerprint(thicker.problem));
-
-  BenchmarkCase hotter = small_case();
-  hotter.problem.source_power[0].at(5, 5) += 0.25;
-  EXPECT_NE(base, problem_fingerprint(hotter.problem));
-
-  BenchmarkCase warmer_inlet = small_case();
-  warmer_inlet.problem.inlet_temperature += 1.0;
-  EXPECT_NE(base, problem_fingerprint(warmer_inlet.problem));
 }
 
 TEST(EvaluatorCache, AccountsHitsAndMisses) {
   EvaluatorCache cache;
   const BenchmarkCase bench = small_case();
-  const std::uint64_t fp = problem_fingerprint(bench.problem);
   const CoolingNetwork net = make_straight_channels(bench.problem.grid);
-  const EvalCacheKey key = make_eval_key(fp, net, fast_sim(),
-                                         EvalMode::kFullP1);
+  const EvalCacheKey key = make_eval_key(net, fast_sim(), EvalMode::kFullP1);
 
   EXPECT_FALSE(cache.find(key).has_value());
   EXPECT_EQ(cache.hits(), 0u);

@@ -141,14 +141,13 @@ TEST(Fuzz, DrcCleanNetworksAlwaysFlowSolvable) {
 const std::vector<std::string>& wire_corpus() {
   static const std::vector<std::string> corpus = {
       R"({"op":"submit","kind":"design","case":2,"objective":"p1",)"
-      R"("scale":0.05,"seed":7,"shares":2,"priority":0,"timeout":30,)"
-      R"("stream":true})",
+      R"("scale":0.05,"seed":7,"shares":2,"timeout":30,"stream":true})",
       R"({"op":"submit","kind":"evaluate","case":1,"model":"4rm",)"
       R"("b1":3,"b2":5,"direction":2,"name":"a\"b\\c\u00e9"})",
       R"({"op":"submit","kind":"sweep","case":3,"objective":"p2",)"
       R"("scenarios":16,"seed":18446744073709551615,"cell":4})",
       R"({"op":"submit","kind":"scenario","scenario":"{\"steps\":3}\n",)"
-      R"("private_flow_plans":false,"timeout":1.5e1})",
+      R"("shares":1024,"timeout":1e6})",
       R"({"op":"status","job":3})",
       R"( { "op" : "result" , "job" : 12 } )",
       R"({"op":"cancel","job":1,"extra":null})",
@@ -169,11 +168,13 @@ std::string mutate(std::string line, Rng& rng) {
       "1e999", "-1e999", "18446744073709551616", "-9223372036854775809",
       "99999999999999999999999999", "-1", "-0", "1.5", "+7", "1e-400",
       "--1", "1e", "nul", "tru"};
-  static const char* const kKeys[] = {"op", "kind", "job", "seed", "case",
-                                      "scale", "direction", "scenario"};
+  static const char* const kKeys[] = {
+      "op",    "kind",      "job",      "seed",   "case",
+      "scale", "direction", "scenario", "shares", "timeout"};
   static const char* const kValues[] = {
       "\"status\"", "\"submit\"", "-3", "1e999", "18446744073709551615",
-      "18446744073709551616", "0", "true", "null", "\"\\u0000\"", "[]", "{}"};
+      "18446744073709551616", "0", "true", "null", "\"\\u0000\"", "[]", "{}",
+      "1e300", "2147483647"};
   const int edits = 1 + static_cast<int>(rng.next_below(3));
   for (int e = 0; e < edits; ++e) {
     const std::size_t pos = rng.next_below(line.size() + 1);
@@ -275,6 +276,13 @@ TEST(Fuzz, WireParserSurvivesMutatedRequestLines) {
     error.clear();
     if (service::parse_request(line, request, error)) {
       ++requests_accepted;
+      // An accepted submit never carries a weight or deadline the scheduler
+      // cannot hold (scheduler.hpp bounds).
+      ASSERT_GE(request.job.shares, 0) << line;
+      ASSERT_LE(request.job.shares, service::kMaxJobShares) << line;
+      ASSERT_GE(request.job.timeout_seconds, 0.0) << line;
+      ASSERT_LE(request.job.timeout_seconds, service::kMaxTimeoutSeconds)
+          << line;
     } else {
       ASSERT_FALSE(error.empty()) << line;
     }

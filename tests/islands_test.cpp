@@ -1,8 +1,8 @@
-// Determinism suite for island SA / parallel tempering (DESIGN.md §S21):
-// a K=1 island run with communication off reproduces the plain single-chain
-// optimizer exactly; a K=4 communicating run — best design, Pareto archive,
-// migration/swap logs, counters — is bit-identical at any thread count; and
-// communication decisions replay exactly from the seed.
+// Determinism suite for island SA (DESIGN.md §S21): a K=1 island run with
+// migration off reproduces the plain single-chain optimizer exactly; a K=4
+// migrating run — best design, Pareto archive, migration log, counters — is
+// bit-identical at any thread count; and migration decisions replay exactly
+// from the seed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -75,8 +75,6 @@ struct RunPrint {
   std::vector<double> island_scores;
   std::uint64_t migrations = 0;
   std::uint64_t migration_attempts = 0;
-  std::uint64_t pt_swaps = 0;
-  std::uint64_t pt_swap_attempts = 0;
   std::vector<CommEvent> events;
   std::string archive;
   std::uint64_t archive_inserts = 0;
@@ -94,8 +92,6 @@ RunPrint run_print(const IslandOutcome& out) {
   print.island_scores = out.island_scores;
   print.migrations = out.migrations;
   print.migration_attempts = out.migration_attempts;
-  print.pt_swaps = out.pt_swaps;
-  print.pt_swap_attempts = out.pt_swap_attempts;
   print.events = out.events;
   print.archive = out.archive.to_jsonl();
   print.archive_inserts = out.archive.inserted();
@@ -106,7 +102,6 @@ IslandOptions communicating_options() {
   IslandOptions options;
   options.islands = 4;
   options.migration_period = 2;
-  options.tempering = true;
   return options;
 }
 
@@ -117,7 +112,7 @@ TEST(Islands, SoloIslandMatchesPlainOptimizerBitExactly) {
   TreeTopologyOptimizer plain(bench, DesignObjective::kPumpingPower, 11);
   const DesignOutcome reference = plain.run(stages);
 
-  IslandOptions solo;  // islands = 1, migration off, tempering off
+  IslandOptions solo;  // islands = 1, migration off
   IslandOptimizer islands(bench, DesignObjective::kPumpingPower, solo, 11);
   const IslandOutcome outcome = islands.run(stages);
 
@@ -132,7 +127,6 @@ TEST(Islands, SoloIslandMatchesPlainOptimizerBitExactly) {
   EXPECT_EQ(outcome.best_island, 0);
   EXPECT_TRUE(outcome.events.empty());
   EXPECT_EQ(outcome.migration_attempts, 0u);
-  EXPECT_EQ(outcome.pt_swap_attempts, 0u);
   ASSERT_EQ(outcome.island_designs.size(), 1u);
   EXPECT_EQ(outcome.island_designs[0], reference.network.content_hash());
   EXPECT_FALSE(outcome.archive.empty());
@@ -165,25 +159,17 @@ TEST(Islands, CommunicationReplaysExactlyFromTheSeed) {
   const RunPrint second = run_print(b.run(stages));
   EXPECT_EQ(first, second);
 
-  // The event log is structurally sound: tempering pairs are adjacent with
-  // alternating parity, migration donors never self-donate, and the
+  // The event log is structurally sound: donors never self-donate, and the
   // accepted flags reconcile with the counters.
-  std::uint64_t swaps = 0, migrations = 0;
+  std::uint64_t migrations = 0;
   for (const CommEvent& e : first.events) {
-    if (e.kind == CommEvent::Kind::kPtSwap) {
-      EXPECT_EQ(e.to, e.from + 1);
-      EXPECT_EQ(e.from % 2, e.iter % 2);
-      if (e.accepted) ++swaps;
-    } else {
-      EXPECT_NE(e.from, e.to);
-      EXPECT_GE(e.from, 0);
-      EXPECT_LT(e.from, options.islands);
-      if (e.accepted) ++migrations;
-    }
+    EXPECT_NE(e.from, e.to);
+    EXPECT_GE(e.from, 0);
+    EXPECT_LT(e.from, options.islands);
+    if (e.accepted) ++migrations;
   }
-  EXPECT_EQ(swaps, first.pt_swaps);
   EXPECT_EQ(migrations, first.migrations);
-  EXPECT_GT(first.pt_swap_attempts, 0u);
+  EXPECT_EQ(first.events.size(), first.migration_attempts);
   EXPECT_GT(first.migration_attempts, 0u);
   // Attempts are schedule-determined: every island attempts a migration at
   // each migration point regardless of acceptance.
@@ -193,12 +179,11 @@ TEST(Islands, CommunicationReplaysExactlyFromTheSeed) {
 TEST(Islands, DisabledCommunicationLeavesNoTrace) {
   const BenchmarkCase bench = island_case();
   IslandOptions options;
-  options.islands = 2;  // K > 1 but no migration, no tempering
+  options.islands = 2;  // K > 1 but no migration
   IslandOptimizer opt(bench, DesignObjective::kPumpingPower, options, 3);
   const IslandOutcome out = opt.run(p1_schedule());
   EXPECT_TRUE(out.events.empty());
   EXPECT_EQ(out.migration_attempts, 0u);
-  EXPECT_EQ(out.pt_swap_attempts, 0u);
   ASSERT_EQ(out.island_designs.size(), 2u);
 }
 
@@ -314,10 +299,8 @@ TEST_P(IslandDeterminism, CommunicatingRunIsThreadCountInvariant) {
   // The §S21 instrument counters are main-thread-ordered, so their deltas
   // are exact at any pool width — and reconcile with the outcome.
   EXPECT_EQ(run.delta.island_migrations, run.print.migrations);
-  EXPECT_EQ(run.delta.pt_swaps, run.print.pt_swaps);
   EXPECT_EQ(run.delta.archive_inserts, run.print.archive_inserts);
   EXPECT_EQ(reference.delta.island_migrations, run.delta.island_migrations);
-  EXPECT_EQ(reference.delta.pt_swaps, run.delta.pt_swaps);
   EXPECT_EQ(reference.delta.archive_inserts, run.delta.archive_inserts);
 }
 
@@ -331,19 +314,15 @@ INSTANTIATE_TEST_SUITE_P(Threads, IslandDeterminism,
 TEST(IslandOptions, EnvParsingUsesDocumentedDefaults) {
   unsetenv("LCN_ISLANDS");
   unsetenv("LCN_MIGRATION_PERIOD");
-  unsetenv("LCN_PT");
   IslandOptions options = island_options_from_env();
   EXPECT_EQ(options.islands, 4);
-  EXPECT_EQ(options.migration_period, 8);
-  EXPECT_FALSE(options.tempering);
+  EXPECT_EQ(options.migration_period, 4);
 
   setenv("LCN_ISLANDS", "6", 1);
   setenv("LCN_MIGRATION_PERIOD", "0", 1);
-  setenv("LCN_PT", "1", 1);
   options = island_options_from_env();
   EXPECT_EQ(options.islands, 6);
   EXPECT_EQ(options.migration_period, 0);
-  EXPECT_TRUE(options.tempering);
 
   // Nonsense is an error naming the variable, never a silent default.
   for (const char* bad : {"-3", "0", "four", "1025"}) {
@@ -361,7 +340,6 @@ TEST(IslandOptions, EnvParsingUsesDocumentedDefaults) {
   setenv("LCN_MIGRATION_PERIOD", "-1", 1);
   EXPECT_THROW(island_options_from_env(), RuntimeError);
   unsetenv("LCN_MIGRATION_PERIOD");
-  unsetenv("LCN_PT");
 }
 
 TEST(IslandOptions, InvalidConfigurationsAreRejected) {
@@ -370,11 +348,6 @@ TEST(IslandOptions, InvalidConfigurationsAreRejected) {
   zero.islands = 0;
   EXPECT_THROW(
       IslandOptimizer(bench, DesignObjective::kPumpingPower, zero, 1),
-      ContractError);
-  IslandOptions bad_spread;
-  bad_spread.tempering_spread = 0.0;
-  EXPECT_THROW(
-      IslandOptimizer(bench, DesignObjective::kPumpingPower, bad_spread, 1),
       ContractError);
   IslandOptimizer ok(bench, DesignObjective::kPumpingPower, IslandOptions{},
                      1);

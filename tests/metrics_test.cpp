@@ -164,7 +164,7 @@ TEST_P(MetricsThreads, ShardMatchesSoloAtAnyThreadCount) {
     ScopedTaskContext scope(&ctx);
     global_pool().parallel_for(kObservations, [](std::size_t i) {
       metrics::observe(metrics::Hist::cache_lookup_seconds, observation(i));
-      if (i % 7 == 0) instrument::add(instrument::Counter::slo_breaches);
+      if (i % 7 == 0) instrument::add(instrument::Counter::deadline_misses);
     });
   }
 
@@ -175,7 +175,7 @@ TEST_P(MetricsThreads, ShardMatchesSoloAtAnyThreadCount) {
   EXPECT_EQ(hist.count, kObservations);
   EXPECT_EQ(hist.buckets, expected.buckets);
   EXPECT_EQ(hist.sum_nanos, expected.sum_nanos);
-  EXPECT_EQ(got.counters.slo_breaches, solo_count);
+  EXPECT_EQ(got.counters.deadline_misses, solo_count);
 
   // The global registry was billed the same delta.
   const metrics::MetricsSnapshot global_after =
@@ -258,7 +258,7 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
   hist.observe(3e-6);
   shard.gauges[static_cast<std::size_t>(metrics::Gauge::running_jobs)]
       .store(3);
-  shard.counter(instrument::Counter::slo_breaches).store(7);
+  shard.counter(instrument::Counter::deadline_misses).store(7);
 
   const std::string text =
       metrics::prometheus_text(shard.snapshot(), "foo=\"bar\"");
@@ -274,8 +274,8 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
       "lcn_solve_steady_seconds_count{foo=\"bar\"} 3\n",
       "# TYPE lcn_running_jobs gauge\n",
       "lcn_running_jobs{foo=\"bar\"} 3\n",
-      "# TYPE lcn_slo_breaches_total counter\n",
-      "lcn_slo_breaches_total{foo=\"bar\"} 7\n",
+      "# TYPE lcn_deadline_misses_total counter\n",
+      "lcn_deadline_misses_total{foo=\"bar\"} 7\n",
       // Every instrument work counter rides along.
       "# TYPE lcn_steady_solves_total counter\n",
   };

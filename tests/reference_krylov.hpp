@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "csr_inspect.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/preconditioner.hpp"
 #include "sparse/vector_ops.hpp"
@@ -30,7 +31,7 @@ class Identity final : public sparse::Preconditioner {
 /// M = diag(A). Rows with a zero diagonal fall back to identity scaling.
 class Jacobi final : public sparse::Preconditioner {
  public:
-  explicit Jacobi(const sparse::CsrMatrix& a) : inv_diag_(a.diagonal()) {
+  explicit Jacobi(const sparse::CsrMatrix& a) : inv_diag_(sparse::csr_diagonal(a)) {
     LCN_REQUIRE(a.rows() == a.cols(), "Jacobi needs a square matrix");
     for (double& d : inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
   }

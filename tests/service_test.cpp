@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -16,10 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/instrument.hpp"
 #include "common/task_context.hpp"
 #include "common/thread_pool.hpp"
-#include "flow/flow_plan.hpp"
 #include "network/generators.hpp"
 #include "opt/sa.hpp"
 #include "service/json.hpp"
@@ -252,23 +253,33 @@ TEST(ServiceIsolation, SessionShardsAccountOnlyTheirOwnWork) {
 TEST(ServiceIsolation, ConcurrentShardEqualsSoloShardSerially) {
   // At one pool thread every run is serial, so a session's shard must be
   // byte-identical between a solo scheduler run and a three-tenant run —
-  // except wall-clock micros counters. Private flow plans make even the
-  // plan hit/miss split session-deterministic.
+  // except wall-clock micros counters and the flow-plan hit/miss split:
+  // tenants share the process-wide plan cache, so which of them analyzes a
+  // plan first depends on scheduling. Their sum, the lookups, is fixed. Each
+  // miss also builds one symbolic sparsity plan, so assemblies_symbolic is
+  // compared less the misses.
   set_global_pool_threads(1);
   auto shard_print = [](instrument::Snapshot s) {
     s.assembly_micros = 0;
+    s.assemblies_symbolic -= s.flow_plan_misses;
+    s.flow_plan_hits = 0;
+    s.flow_plan_misses = 0;
     return s.json();
   };
+  auto plan_lookups = [](const instrument::Snapshot& s) {
+    return s.flow_plan_hits + s.flow_plan_misses;
+  };
 
-  JobRequest req = design_request(31);
-  req.private_flow_plans = true;
+  const JobRequest req = design_request(31);
 
   std::string solo_shard;
+  std::uint64_t solo_lookups = 0;
   {
     Scheduler scheduler(Scheduler::Options{2});
     const JobResult solo = scheduler.wait(scheduler.submit(req));
     ASSERT_EQ(solo.status, JobStatus::kDone) << solo.error;
     solo_shard = shard_print(solo.counters);
+    solo_lookups = plan_lookups(solo.counters);
   }
   {
     Scheduler scheduler(Scheduler::Options{3});
@@ -278,33 +289,14 @@ TEST(ServiceIsolation, ConcurrentShardEqualsSoloShardSerially) {
       const JobResult result = scheduler.wait(id);
       ASSERT_EQ(result.status, JobStatus::kDone) << result.error;
       EXPECT_EQ(shard_print(result.counters), solo_shard);
+      EXPECT_EQ(plan_lookups(result.counters), solo_lookups);
     }
   }
   set_global_pool_threads(0);
 }
 
-TEST(ServiceIsolation, PrivateFlowPlansLeaveTheGlobalCacheUntouched) {
-  flow_plan_cache_clear();
-  ASSERT_EQ(global_flow_plan_cache().size(), 0u);
-
-  Scheduler scheduler(Scheduler::Options{2});
-  JobRequest req = evaluate_request();
-  req.private_flow_plans = true;
-  const JobResult result = scheduler.wait(scheduler.submit(req));
-  ASSERT_EQ(result.status, JobStatus::kDone) << result.error;
-  // The job analyzed flow plans (billed to its shard) but the global cache
-  // never saw them.
-  EXPECT_GT(result.counters.flow_plan_misses, 0u);
-  EXPECT_EQ(global_flow_plan_cache().size(), 0u);
-
-  // A sharing job populates the global cache as before.
-  const JobResult shared = scheduler.wait(scheduler.submit(evaluate_request()));
-  ASSERT_EQ(shared.status, JobStatus::kDone) << shared.error;
-  EXPECT_GT(global_flow_plan_cache().size(), 0u);
-}
-
 // ---------------------------------------------------------------------------
-// Cancellation, deadlines, priorities.
+// Cancellation, deadlines, queue order, request bounds.
 
 TEST(ServiceCancellation, MidSaCancelLeavesSchedulerServing) {
   Scheduler scheduler(Scheduler::Options{2});
@@ -370,28 +362,68 @@ TEST(ServiceCancellation, PreRaisedFlagThrowsCancelledNotRuntimeError) {
   }
 }
 
-TEST(ServiceScheduling, HigherPriorityQueuedJobStartsFirst) {
+TEST(ServiceScheduling, QueuedJobsStartInSubmissionOrder) {
   Scheduler scheduler(Scheduler::Options{2});
   const std::uint64_t a = scheduler.submit(design_request(5, long_schedule()));
   const std::uint64_t b = scheduler.submit(design_request(6, long_schedule()));
   wait_until_running(scheduler, a);
   wait_until_running(scheduler, b);
 
-  JobRequest low = evaluate_request();
-  low.priority = 0;
-  JobRequest high = evaluate_request();
-  high.priority = 5;
-  const std::uint64_t low_id = scheduler.submit(low);
-  const std::uint64_t high_id = scheduler.submit(high);
+  const std::uint64_t first_id = scheduler.submit(evaluate_request());
+  const std::uint64_t second_id = scheduler.submit(evaluate_request());
 
   scheduler.cancel(a);
   scheduler.cancel(b);
-  const JobResult high_result = scheduler.wait(high_id);
-  const JobResult low_result = scheduler.wait(low_id);
-  ASSERT_EQ(high_result.status, JobStatus::kDone) << high_result.error;
-  ASSERT_EQ(low_result.status, JobStatus::kDone) << low_result.error;
-  // Submitted after `low`, started before it.
-  EXPECT_LT(high_result.start_order, low_result.start_order);
+  const JobResult second = scheduler.wait(second_id);
+  const JobResult first = scheduler.wait(first_id);
+  ASSERT_EQ(first.status, JobStatus::kDone) << first.error;
+  ASSERT_EQ(second.status, JobStatus::kDone) << second.error;
+  EXPECT_LT(first.start_order, second.start_order);
+}
+
+TEST(ServiceScheduling, SubmitRejectsOutOfBoundsSharesAndTimeout) {
+  // A weight sum past INT_MAX and a deadline past steady_clock's range are
+  // both undefined behaviour, so in-process requests are held to the wire
+  // protocol's bounds before anything is queued.
+  Scheduler scheduler(Scheduler::Options{2});
+  for (const int shares : {-1, service::kMaxJobShares + 1,
+                           std::numeric_limits<int>::max()}) {
+    JobRequest req = evaluate_request();
+    req.shares = shares;
+    EXPECT_THROW(scheduler.submit(req), ContractError) << shares;
+  }
+  for (const double timeout :
+       {-1.0, service::kMaxTimeoutSeconds * 2, 1e300,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    JobRequest req = evaluate_request();
+    req.timeout_seconds = timeout;
+    EXPECT_THROW(scheduler.submit(req), ContractError) << timeout;
+  }
+  EXPECT_TRUE(scheduler.jobs().empty());
+
+  // The bounds themselves are accepted, and the job is not cancelled by a
+  // deadline it was never given.
+  JobRequest edge = evaluate_request();
+  edge.shares = service::kMaxJobShares;
+  edge.timeout_seconds = service::kMaxTimeoutSeconds;
+  const JobResult result = scheduler.wait(scheduler.submit(edge));
+  EXPECT_EQ(result.status, JobStatus::kDone) << result.error;
+}
+
+TEST(ServiceScheduling, MalformedJobHistoryIsAnErrorNamingTheVariable) {
+  for (const char* bad : {"0", "x", "1000001"}) {
+    setenv("LCN_JOB_HISTORY", bad, 1);
+    try {
+      Scheduler scheduler(Scheduler::Options{2});
+      ADD_FAILURE() << "accepted LCN_JOB_HISTORY=" << bad;
+    } catch (const RuntimeError& error) {
+      EXPECT_NE(std::string(error.what()).find("LCN_JOB_HISTORY"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  unsetenv("LCN_JOB_HISTORY");
 }
 
 TEST(ServiceScheduling, DrainRunsEverythingAndRejectsNewWork) {
@@ -672,7 +704,7 @@ TEST(ServiceProtocol, RequestParsingValidatesFields) {
   std::string error;
   ASSERT_TRUE(service::parse_request(
       R"({"op":"submit","kind":"design","case":3,"objective":"p2",)"
-      R"("scale":0.2,"seed":9,"shares":2,"priority":1,"timeout":30,)"
+      R"("scale":0.2,"seed":9,"shares":2,"timeout":30,)"
       R"("stream":true,"name":"tenant-a"})",
       request, error))
       << error;
@@ -683,10 +715,37 @@ TEST(ServiceProtocol, RequestParsingValidatesFields) {
   EXPECT_DOUBLE_EQ(request.job.scale, 0.2);
   EXPECT_EQ(request.job.seed, 9u);
   EXPECT_EQ(request.job.shares, 2);
-  EXPECT_EQ(request.job.priority, 1);
   EXPECT_DOUBLE_EQ(request.job.timeout_seconds, 30.0);
   EXPECT_TRUE(request.stream);
   EXPECT_EQ(request.job.name, "tenant-a");
+
+  // Retired fields are unknown keys now, and unknown keys are ignored.
+  EXPECT_TRUE(service::parse_request(
+      R"({"op":"submit","priority":5,"private_flow_plans":true})", request,
+      error))
+      << error;
+
+  // shares and timeout are bounded; the error names the field.
+  for (const char* line :
+       {R"({"op":"submit","shares":2147483647})",
+        R"({"op":"submit","shares":1025})",
+        R"({"op":"submit","shares":-1})"}) {
+    EXPECT_FALSE(service::parse_request(line, request, error)) << line;
+    EXPECT_NE(error.find("shares"), std::string::npos) << error;
+  }
+  for (const char* line :
+       {R"({"op":"submit","timeout":1e300})",
+        R"({"op":"submit","timeout":1e999})",
+        R"({"op":"submit","timeout":1000001})",
+        R"({"op":"submit","timeout":-1})"}) {
+    EXPECT_FALSE(service::parse_request(line, request, error)) << line;
+    EXPECT_NE(error.find("timeout"), std::string::npos) << error;
+  }
+  ASSERT_TRUE(service::parse_request(
+      R"({"op":"submit","shares":1024,"timeout":1e6})", request, error))
+      << error;
+  EXPECT_EQ(request.job.shares, 1024);
+  EXPECT_DOUBLE_EQ(request.job.timeout_seconds, 1e6);
 
   // Scenario jobs carry their NDJSON description as one escaped string.
   ASSERT_TRUE(service::parse_request(
